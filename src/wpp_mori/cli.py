@@ -29,6 +29,11 @@ def _triple(args):
         raise InputError(str(e)) from e
 
 
+def _check_mu_cap(args):
+    if args.mu_cap < 1:
+        raise InputError("--mu-cap must be at least 1")
+
+
 def _print_json(data):
     print(json.dumps(data, sort_keys=True))
 
@@ -73,6 +78,7 @@ def cmd_classify(args):
 
 def cmd_coxring(args):
     w = _triple(args)
+    _check_mu_cap(args)
     cls = coxring.classify(w)
     if cls.is_kstar:
         pres = coxring.kstar_presentation(w)
@@ -114,6 +120,7 @@ def cmd_coxring(args):
 
 def cmd_mds_test(args):
     w = _triple(args)
+    _check_mu_cap(args)
     verdict = orthpair.mds_test(w, args.mu_cap)
     if args.json:
         data = {"verdict": verdict.outcome, "mu_cap": args.mu_cap}
@@ -172,16 +179,38 @@ def cache_dir():
 
 
 def load_records(path):
-    """Existing scan records keyed by (a, b, c, mu_cap)."""
+    """Existing scan records keyed by (a, b, c, mu_cap).
+
+    A run killed mid-write leaves its last line cut short.  An unparsable
+    last line is dropped, so its triple is recomputed, and cut from the file,
+    so the next record starts on a line of its own; a complete last record
+    without its newline gets one.  An unparsable line anywhere else is an
+    InputError.
+    """
     records = {}
-    if path.exists():
-        with path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                records[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
+    if not path.exists():
+        return records
+    lines = path.read_bytes().splitlines(keepends=True)
+    partial = None  # (line number, byte offset) of an unparsable line
+    offset = 0
+    for n, line in enumerate(lines, 1):
+        start, offset = offset, offset + len(line)
+        if not line.strip():
+            continue
+        if partial is not None:
+            raise InputError(f"{path}: line {partial[0]}: unparsable scan record")
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            partial = (n, start)
+            continue
+        records[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
+    if partial is not None:
+        with path.open("r+b") as fh:
+            fh.truncate(partial[1])
+    elif lines and not lines[-1].endswith(b"\n"):
+        with path.open("ab") as fh:
+            fh.write(b"\n")
     return records
 
 
@@ -233,6 +262,7 @@ def scan_summary(records):
 def cmd_scan(args):
     if args.c_max < 3:
         raise InputError("--c-max must be at least 3")
+    _check_mu_cap(args)
     out_path = (
         Path(args.out)
         if args.out
@@ -246,6 +276,8 @@ def cmd_scan(args):
 
 
 def cmd_verify_gens(args):
+    if args.budget < 0 or args.step_budget < 0:
+        raise InputError("--budget and --step-budget must be non-negative")
     try:
         text = Path(args.file).read_text()
     except OSError as e:

@@ -1,94 +1,78 @@
-"""Exact integer linear algebra: Bareiss rank, kernels, Smith normal form.
+"""Exact integer linear algebra: Bareiss elimination for rank and kernels, Smith normal form.
 
 All matrices are lists of lists of Python ints (arbitrary precision).
 No floating point anywhere.
 """
 
-from fractions import Fraction
 from math import gcd
 
 
-def rank(rows):
-    """Rank of an integer matrix, via fraction-free Bareiss elimination."""
+def _echelon(rows, ncols):
+    """Fraction-free (Bareiss) row echelon form; returns (rows, pivot_cols).
+
+    Row r has its leading entry in column pivot_cols[r].  Every entry is an
+    integer minor of the input; the last pivot is, up to sign, the
+    determinant of the square submatrix on the pivot rows and pivot columns.
+    """
     m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
+    nrows = len(m)
+    pivots = []
     prev = 1
     for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[c]
         for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rref(rows, ncols):
-    """Reduced row echelon form over the rationals; returns (rows, pivot_cols)."""
-    m = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            row[c + 1:] = [(p * x - f * y) // prev for x, y in zip(row[c + 1:], top[c + 1:])]
+            row[c] = 0
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    return m[:len(pivots)], pivots
+
+
+def rank(rows):
+    """Rank of an integer matrix: the number of Bareiss pivots."""
+    return len(_echelon(rows, len(rows[0]) if rows else 0)[1])
 
 
 def kernel_basis(rows, ncols):
     """Basis of the right kernel of an integer matrix.
 
-    Returns primitive integer vectors (content 1, first nonzero entry of the
-    free-variable block equal to 1 before clearing), one per free column of
-    the reduced echelon form.  Deterministic given the input.
+    One primitive integer vector per free column of the echelon form: it is
+    positive in that column and zero in every other free column.
+    Deterministic given the input.
     """
-    m, pivots = _rref(rows, ncols)
+    m, pivots = _echelon(rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    # By Cramer's rule, scaling the free entry by the last pivot (up to sign
+    # the determinant of the pivot block) makes every pivot entry an integer,
+    # so each division in the back-substitution is exact.
+    det = abs(m[-1][pivots[-1]]) if pivots else 1
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-        iv = [int(x * den) for x in v]
-        g = 0
-        for x in iv:
-            g = gcd(g, x)
-        if g > 1:
-            iv = [x // g for x in iv]
-        basis.append(tuple(iv))
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [0] * ncols
+        v[fc] = det
+        for row, pc in zip(reversed(m), reversed(pivots)):
+            s = sum(x * y for x, y in zip(row[pc + 1:], v[pc + 1:]))
+            v[pc] = -s // row[pc]
+        g = gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
 
 
 def in_span(vectors, target):
     """True iff target lies in the rational span of the given integer vectors."""
-    vecs = [list(v) for v in vectors]
-    base = rank(vecs)
-    return rank(vecs + [list(target)]) == base
+    return rank(list(vectors) + [target]) == rank(vectors)
 
 
 def identity(n):
@@ -102,10 +86,6 @@ def mat_mul(a, b):
         [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
         for i in range(n)
     ]
-
-
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
 def smith_normal_form(a):
@@ -187,24 +167,3 @@ def smith_normal_form(a):
             continue
         t += 1
     return d, u, v
-
-
-def solve_integer(a, b):
-    """An integer solution x of a*x = b, or None if none exists."""
-    d, u, v = smith_normal_form(a)
-    ub = mat_vec(u, b)
-    ncols = len(v)
-    y = [0] * ncols
-    for i in range(len(d)):
-        di = d[i][i] if i < ncols else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    for i in range(len(d), len(ub)):
-        if ub[i] != 0:
-            return None
-    return mat_vec(v, y)

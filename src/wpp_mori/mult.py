@@ -8,7 +8,7 @@ condition matrices give the graded pieces of the symbolic powers I^mu : J^oo.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import comb
 
 from . import linalg
 from .poly import SparsePoly
@@ -55,12 +55,6 @@ def _chart(a, b, c):
     return chart_map, basis
 
 
-def torus_chart(w):
-    """2x3 integer matrix restricting to an isomorphism {e : a,b,c . e = 0} -> Z^2."""
-    chart_map, _ = _chart(w.a, w.b, w.c)
-    return [list(r) for r in chart_map]
-
-
 def chart_kernel_basis(w):
     """Basis of the weight-zero exponent lattice (preimages of the Z^2 unit vectors)."""
     _, basis = _chart(w.a, w.b, w.c)
@@ -76,27 +70,44 @@ def binom_int(n, k):
     return (-1) ** k * comb(k - n - 1, k)
 
 
+def _chart_exponents(w, d):
+    """Monomials of degree d and their exponents (u, v) in the lattice chart."""
+    monos = monomials_of_degree(w, d)
+    chart_map, _ = _chart(w.a, w.b, w.c)
+    uv = []
+    for m in monos:
+        # exponents relative to the lexicographically least monomial
+        diff = [m[i] - monos[0][i] for i in range(3)]
+        uv.append(tuple(sum(r[i] * diff[i] for i in range(3)) for r in chart_map))
+    return uv, monos
+
+
+def _order_rows(uv, order):
+    """Hasse-derivative conditions of one order, one row per (alpha, order - alpha)."""
+    return [
+        [binom_int(u, alpha) * binom_int(v, order - alpha) for u, v in uv]
+        for alpha in range(order + 1)
+    ]
+
+
 def condition_matrix(w, d, mu):
     """Integer matrix whose kernel is V(d, mu) in monomial coordinates.
 
     Rows are indexed by Hasse-derivative orders (alpha, beta) with
     alpha + beta < mu; columns by the monomials of degree d in lex order.
     """
-    monos = monomials_of_degree(w, d)
+    uv, monos = _chart_exponents(w, d)
     if not monos:
         return [], monos
-    chart_map, _ = _chart(w.a, w.b, w.c)
-    base = monos[0]  # lexicographically least monomial of degree d
-    uv = []
-    for m in monos:
-        diff = [m[i] - base[i] for i in range(3)]
-        uv.append(tuple(sum(r[i] * diff[i] for i in range(3)) for r in chart_map))
-    rows = []
-    for order in range(mu):
-        for alpha in range(order + 1):
-            beta = order - alpha
-            rows.append([binom_int(u, alpha) * binom_int(v, beta) for u, v in uv])
-    return rows, monos
+    return [row for order in range(mu) for row in _order_rows(uv, order)], monos
+
+
+def nonzero_at_order(w, d, vecs, order):
+    """For each coefficient vector of a degree-d form, whether some Hasse
+    derivative of this order is nonzero at [1,1,1]: for a form in
+    V(d, order), whether it lies outside V(d, order + 1)."""
+    rows = _order_rows(_chart_exponents(w, d)[0], order)
+    return [any(sum(r * x for r, x in zip(row, v)) for row in rows) for v in vecs]
 
 
 @dataclass
@@ -112,21 +123,12 @@ class SymbolicSlice:
 def slice_dim(w, d, mu):
     """dim of {f in S_d : mult of f at [1,1,1] >= mu}, without building a basis."""
     rows, monos = condition_matrix(w, d, mu)
-    if not monos:
-        return 0
-    if mu == 0:
-        return len(monos)
     return len(monos) - linalg.rank(rows)
 
 
 def slice_kernel_vectors(w, d, mu):
     """Kernel basis vectors of the condition matrix (monomial coordinates)."""
     rows, monos = condition_matrix(w, d, mu)
-    if not monos:
-        return [], monos
-    if mu == 0:
-        n = len(monos)
-        return [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)], monos
     return linalg.kernel_basis(rows, len(monos)), monos
 
 
@@ -158,6 +160,18 @@ def _coefficient_vector(f, monos):
     return vec
 
 
+def _vanishing_order(w, d, vecs, start):
+    """Least order >= start at which one of vecs has a nonzero Hasse derivative,
+    and the first such vector.  Every vector must lie in V(d, start).
+    """
+    # a nonzero form has finite multiplicity; 2d + 2 safely bounds it
+    for order in range(start, 2 * d + 3):
+        hits = nonzero_at_order(w, d, vecs, order)
+        if any(hits):
+            return order, vecs[hits.index(True)]
+    raise AssertionError("multiplicity bound exceeded for a nonzero form")
+
+
 def rees_multiplicity(w, f):
     """Multiplicity of the curve V(f) at [1,1,1]; 0 if f does not vanish there."""
     if f.is_zero():
@@ -165,16 +179,8 @@ def rees_multiplicity(w, f):
     d = f.weighted_degree(w.as_tuple())
     if d is None:
         raise ValueError("polynomial is not weighted-homogeneous")
-    monos = monomials_of_degree(w, d)
-    vec = _coefficient_vector(f, monos)
-    mu = 0
-    # a nonzero form has finite multiplicity; 2d + 2 safely bounds it
-    while mu <= 2 * d + 2:
-        rows, _ = condition_matrix(w, d, mu + 1)
-        if any(sum(r[i] * vec[i] for i in range(len(vec))) != 0 for r in rows):
-            return mu
-        mu += 1
-    raise AssertionError("multiplicity bound exceeded for a nonzero form")
+    vec = _coefficient_vector(f, monomials_of_degree(w, d))
+    return _vanishing_order(w, d, [vec], 0)[0]
 
 
 def generic_exact_multiplicity(w, d, mu_min, tie_break="first"):
@@ -186,13 +192,11 @@ def generic_exact_multiplicity(w, d, mu_min, tie_break="first"):
     vecs, monos = slice_kernel_vectors(w, d, mu_min)
     if not vecs:
         raise ValueError(f"empty slice V({d},{mu_min})")
-    dim = len(vecs)
-    mu = mu_min
-    while slice_dim(w, d, mu + 1) == dim:
-        mu += 1
-    sub_vecs, _ = slice_kernel_vectors(w, d, mu + 1)
-    order = reversed(vecs) if tie_break == "last" else vecs
-    for v in order:
-        if not linalg.in_span(sub_vecs, v):
-            return mu, _vector_to_poly(v, monos)
-    raise AssertionError("no basis vector outside a proper subspace")
+    return _generic_witness(w, d, mu_min, vecs, monos, tie_break)
+
+
+def _generic_witness(w, d, mu_min, vecs, monos, tie_break):
+    """generic_exact_multiplicity, given the kernel basis vecs of V(d, mu_min)."""
+    order = vecs[::-1] if tie_break == "last" else vecs
+    mu, v = _vanishing_order(w, d, order, mu_min)
+    return mu, _vector_to_poly(v, monos)

@@ -69,8 +69,9 @@ def find_f1(w, d_cap, tie_break="first"):
     """
     for d in range(1, d_cap + 1):
         mu_star = minimal_mu(d, w.abc)
-        if mult.slice_dim(w, d, mu_star) > 0:
-            mu, witness = mult.generic_exact_multiplicity(w, d, mu_star, tie_break)
+        vecs, monos = mult.slice_kernel_vectors(w, d, mu_star)
+        if vecs:
+            mu, witness = mult._generic_witness(w, d, mu_star, vecs, monos, tie_break)
             return d, mu, witness
     return None
 
@@ -103,31 +104,31 @@ def find_f2(w, d1, mu1, f1, d_cap, tie_break="first"):
     """
     q = mu1 * w.abc
     step = q // gcd(d1, q)
-    d2 = step
-    while d2 <= d_cap:
+    for d2 in range(step, d_cap + 1, step):
         mu2 = d1 * d2 // q
         vecs, monos = mult.slice_kernel_vectors(w, d2, mu2)
-        dim = len(vecs)
-        if dim == 0:
-            d2 += step
+        if not vecs:
             continue
-        deeper, _ = mult.slice_kernel_vectors(w, d2, mu2 + 1)
+        # exact[i]: basis vector i lies outside V(d2, mu2+1)
+        exact = mult.nonzero_at_order(w, d2, vecs, mu2)
+        if not any(exact):
+            continue
         multiples = _f1_multiple_vectors(w, f1, d1, mu1, d2, mu2, monos)
-        if len(deeper) >= dim or linalg.rank([list(v) for v in multiples]) >= dim:
-            d2 += step
+        if linalg.rank(multiples) >= len(vecs):
             continue
-        witness = _outside_two_subspaces(vecs, deeper, multiples, tie_break)
-        f2 = mult._vector_to_poly(witness, monos)
-        return d2, mu2, f2
+        witness = _outside_two_subspaces(vecs, exact, multiples, tie_break)
+        return d2, mu2, mult._vector_to_poly(witness, monos)
     return None
 
 
-def _outside_two_subspaces(vecs, sub_a, sub_b, tie_break):
-    """A vector in span(vecs) avoiding two proper subspaces, deterministically."""
-    order = list(reversed(vecs)) if tie_break == "last" else list(vecs)
+def _outside_two_subspaces(vecs, outside_a, sub_b, tie_break):
+    """A vector in span(vecs) avoiding two proper subspaces, deterministically.
+
+    outside_a flags the vectors outside the first; sub_b spans the second.
+    """
+    pairs = list(zip(vecs, outside_a))
     va = vb = None
-    for v in order:
-        out_a = not linalg.in_span(sub_a, v)
+    for v, out_a in pairs[::-1] if tie_break == "last" else pairs:
         out_b = not linalg.in_span(sub_b, v)
         if out_a and out_b:
             return v
@@ -137,7 +138,7 @@ def _outside_two_subspaces(vecs, sub_a, sub_b, tie_break):
             vb = v
     if va is None or vb is None:
         raise AssertionError("subspace was not proper")
-    # va lies in sub_b and vb in sub_a, so their sum avoids both
+    # va lies in sub_b and vb in the first subspace, so their sum avoids both
     return tuple(x + y for x, y in zip(va, vb))
 
 

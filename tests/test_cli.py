@@ -92,6 +92,37 @@ def test_scan_resumable(tmp_path, capsys):
     assert len(out_file.read_text().splitlines()) == 2 * len(lines)
 
 
+def test_scan_resumes_after_truncated_last_record(tmp_path, capsys):
+    out_file = tmp_path / "scan.jsonl"
+    args = ("scan", "--c-max", "5", "--mu-cap", "5", "--out", str(out_file))
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    lines = out_file.read_text().splitlines(keepends=True)
+
+    def without_time(line):
+        rec = json.loads(line)
+        del rec["wall_time"]
+        return rec
+
+    # a killed run leaves the last record cut short (with or without its
+    # newline), or complete but without its newline
+    last = lines[-1]
+    for tail in (last[: len(last) // 2], last[:10] + "\n", last.rstrip("\n")):
+        out_file.write_text("".join(lines[:-1]) + tail)
+        code, resumed, _ = run(capsys, *args)
+        assert code == 0
+        assert resumed == out
+        after = out_file.read_text().splitlines(keepends=True)
+        assert after[:-1] == lines[:-1]
+        assert after[-1].endswith("\n")
+        assert without_time(after[-1]) == without_time(last)
+    # an unparsable line before the last one is invalid input
+    out_file.write_text("{\n" + "".join(lines))
+    code, _, err = run(capsys, *args)
+    assert code == 2
+    assert "line 1" in err
+
+
 def test_scan_cache_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WPP_MORI_CACHE", str(tmp_path))
     code, out, _ = run(capsys, "scan", "--c-max", "3", "--mu-cap", "5")
@@ -102,6 +133,19 @@ def test_scan_cache_env(tmp_path, monkeypatch, capsys):
 def test_scan_invalid_cmax(capsys):
     code, _, err = run(capsys, "scan", "--c-max", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["mds-test", "2", "3", "5"], ["scan", "--c-max", "5"], ["coxring", "9", "10", "13"]],
+)
+@pytest.mark.parametrize("mu_cap", ["0", "-3"])
+def test_mu_cap_below_one_exit_2(tmp_path, monkeypatch, capsys, command, mu_cap):
+    monkeypatch.setenv("WPP_MORI_CACHE", str(tmp_path))
+    code, out, err = run(capsys, *command, "--mu-cap", mu_cap)
+    assert code == 2
+    assert "--mu-cap" in err and out == ""
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_gens_fixture(tmp_path, capsys):
@@ -126,6 +170,16 @@ def test_verify_gens_budget_exhaustion_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "verify-gens", str(path), "--budget", "1")
     assert code == 3
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--step-budget"])
+def test_verify_gens_negative_budget_exit_2(tmp_path, capsys, flag):
+    text = ir.files("wpp_mori").joinpath("data/verify_gens_7_3_11.txt").read_text()
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, "verify-gens", str(path), flag, "-1")
+    assert code == 2
+    assert "error:" in err
 
 
 def test_m0n_fixture(tmp_path, capsys):

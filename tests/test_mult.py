@@ -6,7 +6,8 @@ at (0, 0) is the multiplicity, and the order-< mu coefficient conditions
 are computed with sympy, independently of the package's lattice chart.
 """
 
-from math import comb
+import random
+from math import comb, gcd
 
 import pytest
 import sympy
@@ -98,18 +99,15 @@ def test_rees_multiplicity_errors():
         mult.rees_multiplicity(w, parse_poly("x + z", XYZ))
 
 
-def test_torus_chart_inverts_kernel_basis():
+def test_chart_kernel_basis_spans_weight_zero_lattice():
     for (a, b, c) in [(1, 1, 1), (2, 3, 7), (7, 2, 3), (7, 3, 11), (9, 10, 13)]:
         w = WeightTriple(a, b, c)
-        chart = mult.torus_chart(w)
         basis = mult.chart_kernel_basis(w)
         for vec in basis:
             assert a * vec[0] + b * vec[1] + c * vec[2] == 0
-        prod = [
-            [sum(chart[i][k] * basis[j][k] for k in range(3)) for j in range(2)]
-            for i in range(2)
-        ]
-        assert prod == [[1, 0], [0, 1]]
+        # coprime 2x2 minors: the two vectors span the whole rank-2 lattice
+        (p0, p1, p2), (q0, q1, q2) = basis
+        assert gcd(p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p1 * q2 - p2 * q1) == 1
 
 
 def test_binom_int():
@@ -137,3 +135,22 @@ def test_generic_exact_multiplicity_tie_breaks_agree_in_exactness():
         mu, witness = mult.generic_exact_multiplicity(w, 14, 1, tie_break=tie)
         assert mu == 1
         assert mult.rees_multiplicity(w, witness) == 1
+
+
+def test_generic_exact_multiplicity_matches_oracle():
+    rng = random.Random(2016)
+    cases = 0
+    while cases < 15:
+        w = WeightTriple(*rng.choice([(1, 1, 1), (1, 2, 3), (2, 3, 5), (3, 4, 5), (7, 3, 11)]))
+        d, mu_min = rng.randint(1, 24), rng.randint(1, 3)
+        dim = oracle_slice_dim(w, d, mu_min)
+        if dim == 0:
+            continue
+        cases += 1
+        mu_oracle = mu_min
+        while oracle_slice_dim(w, d, mu_oracle + 1) == dim:
+            mu_oracle += 1
+        for tie in ("first", "last"):
+            mu, witness = mult.generic_exact_multiplicity(w, d, mu_min, tie_break=tie)
+            assert mu == mu_oracle, (w.as_tuple(), d, mu_min)
+            assert oracle_multiplicity(w, witness) == mu
