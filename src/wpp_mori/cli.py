@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__, coxring, groebner, m0n, orthpair, verifygens
-from .weights import WeightTriple
+from .weights import WeightTriple, coprime_triples  # callers also import cli.coprime_triples
 
 ENGINE = f"wpp-mori {__version__}"
 
@@ -137,21 +137,6 @@ def cmd_mds_test(args):
     else:
         print(f"  no orthogonal pair with multiplicities <= {args.mu_cap}")
     return EXIT_OK
-
-
-def coprime_triples(c_max):
-    """All pairwise coprime a < b < c <= c_max, in sorted order."""
-    from math import gcd
-
-    out = []
-    for c in range(3, c_max + 1):
-        for b in range(2, c):
-            if gcd(b, c) != 1:
-                continue
-            for a in range(1, b):
-                if gcd(a, b) == 1 and gcd(a, c) == 1:
-                    out.append((a, b, c))
-    return sorted(out)
 
 
 def _scan_one(task):

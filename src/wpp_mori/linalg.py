@@ -1,10 +1,52 @@
-"""Exact integer linear algebra: Bareiss elimination for rank and kernels, Smith normal form.
+"""Exact integer linear algebra: a packed mod-p full-rank certificate, then
+Bareiss elimination for rank and kernels, Smith normal form.
 
 All matrices are lists of lists of Python ints (arbitrary precision).
 No floating point anywhere.
 """
 
 from math import gcd
+
+# The certificate below is sound for every prime; this one is below 2^20, so
+# a packed slot stays a few machine words wide.
+_PRIME = 1048573
+
+
+def _full_rank_mod_p(rows, ncols, p=_PRIME):
+    """True only if the integer matrix has full column rank mod p.
+
+    The rank mod p never exceeds the rank over Q, so True proves that the
+    right kernel is 0.  False proves nothing: p may divide every maximal
+    minor, or the matrix may have a kernel.
+
+    Each row, reduced mod p, is packed into one int with one slot of nb bytes
+    per column, the lowest column in the lowest slot.  A pivot row is
+    normalised once (unpacked, reduced and scaled by the inverse of its
+    pivot); every other row clears its lowest slot with one multiply-add,
+    r + (p - f) * top, and then drops that slot.  A row takes at most ncols
+    such updates, each adding less than p^2 to a slot, so every slot stays
+    below p + ncols * p^2 and never carries into the next one.
+    """
+    nb = ((p * p * (ncols + 1)).bit_length() + 8) // 8
+    width = 8 * nb
+    mask = (1 << width) - 1
+    packed = [
+        int.from_bytes(b"".join((x % p).to_bytes(nb, "little") for x in row), "little")
+        for row in rows
+    ]
+    for c in range(ncols):
+        i = next((i for i, r in enumerate(packed) if (r & mask) % p), None)
+        if i is None:
+            return False
+        top = packed.pop(i)
+        inv = pow(top & mask, -1, p)
+        raw = top.to_bytes((ncols - c) * nb, "little")
+        top = int.from_bytes(b"".join(
+            (int.from_bytes(raw[k:k + nb], "little") * inv % p).to_bytes(nb, "little")
+            for k in range(0, len(raw), nb)
+        ), "little")
+        packed = [(r + (p - f) * top if (f := (r & mask) % p) else r) >> width for r in packed]
+    return True
 
 
 def _echelon(rows, ncols):
@@ -48,8 +90,11 @@ def kernel_basis(rows, ncols):
 
     One primitive integer vector per free column of the echelon form: it is
     positive in that column and zero in every other free column.
-    Deterministic given the input.
+    Deterministic given the input.  A matrix certified to have full column
+    rank mod p has the empty basis; every other one is eliminated exactly.
     """
+    if len(rows) >= ncols and _full_rank_mod_p(rows, ncols):
+        return []
     m, pivots = _echelon(rows, ncols)
     pivot_set = set(pivots)
     # By Cramer's rule, scaling the free entry by the last pivot (up to sign

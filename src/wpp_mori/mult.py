@@ -160,15 +160,12 @@ def _coefficient_vector(f, monos):
     return vec
 
 
-def _vanishing_order(w, d, vecs, start):
-    """Least order >= start at which one of vecs has a nonzero Hasse derivative,
-    and the first such vector.  Every vector must lie in V(d, start).
-    """
+def _vanishing_order(w, d, vec):
+    """Least order at which the degree-d form vec has a nonzero Hasse derivative."""
     # a nonzero form has finite multiplicity; 2d + 2 safely bounds it
-    for order in range(start, 2 * d + 3):
-        hits = nonzero_at_order(w, d, vecs, order)
-        if any(hits):
-            return order, vecs[hits.index(True)]
+    for order in range(2 * d + 3):
+        if nonzero_at_order(w, d, [vec], order)[0]:
+            return order
     raise AssertionError("multiplicity bound exceeded for a nonzero form")
 
 
@@ -180,14 +177,18 @@ def rees_multiplicity(w, f):
     if d is None:
         raise ValueError("polynomial is not weighted-homogeneous")
     vec = _coefficient_vector(f, monomials_of_degree(w, d))
-    return _vanishing_order(w, d, [vec], 0)[0]
+    return _vanishing_order(w, d, vec)
 
 
 def generic_exact_multiplicity(w, d, mu_min, tie_break="first"):
     """Exact multiplicity of the generic member of V(d, mu_min), with a witness.
 
-    Returns (mu, witness) where V(d, mu) = V(d, mu_min), V(d, mu+1) is a
-    proper subspace, and witness lies in V(d, mu) but not in V(d, mu+1).
+    Returns (mu_min, witness): witness lies in V(d, mu_min) but not in
+    V(d, mu_min + 1).  A nonzero V(d, mu) always strictly contains
+    V(d, mu + 1): its rows evaluate the polynomials of degree < mu at the
+    distinct chart points of the degree-d monomials, and the Hilbert
+    function of a finite point set rises strictly until it reaches the
+    number of points.  So the generic multiplicity is mu_min itself.
     """
     vecs, monos = slice_kernel_vectors(w, d, mu_min)
     if not vecs:
@@ -198,5 +199,7 @@ def generic_exact_multiplicity(w, d, mu_min, tie_break="first"):
 def _generic_witness(w, d, mu_min, vecs, monos, tie_break):
     """generic_exact_multiplicity, given the kernel basis vecs of V(d, mu_min)."""
     order = vecs[::-1] if tie_break == "last" else vecs
-    mu, v = _vanishing_order(w, d, order, mu_min)
-    return mu, _vector_to_poly(v, monos)
+    hits = nonzero_at_order(w, d, order, mu_min)
+    if not any(hits):
+        raise AssertionError(f"V({d},{mu_min}) does not strictly contain V({d},{mu_min + 1})")
+    return mu_min, _vector_to_poly(order[hits.index(True)], monos)

@@ -109,27 +109,30 @@ def find_f2(w, d1, mu1, f1, d_cap, tie_break="first"):
         vecs, monos = mult.slice_kernel_vectors(w, d2, mu2)
         if not vecs:
             continue
-        # exact[i]: basis vector i lies outside V(d2, mu2+1)
+        # exact[i]: basis vector i lies outside V(d2, mu2+1), a proper
+        # subspace by the argument in mult.generic_exact_multiplicity
         exact = mult.nonzero_at_order(w, d2, vecs, mu2)
         if not any(exact):
-            continue
+            raise AssertionError(f"V({d2},{mu2}) does not strictly contain V({d2},{mu2 + 1})")
         multiples = _f1_multiple_vectors(w, f1, d1, mu1, d2, mu2, monos)
-        if linalg.rank(multiples) >= len(vecs):
+        r = linalg.rank(multiples)
+        if r >= len(vecs):
             continue
-        witness = _outside_two_subspaces(vecs, exact, multiples, tie_break)
+        witness = _outside_two_subspaces(vecs, exact, multiples, r, tie_break)
         return d2, mu2, mult._vector_to_poly(witness, monos)
     return None
 
 
-def _outside_two_subspaces(vecs, outside_a, sub_b, tie_break):
+def _outside_two_subspaces(vecs, outside_a, sub_b, rank_b, tie_break):
     """A vector in span(vecs) avoiding two proper subspaces, deterministically.
 
-    outside_a flags the vectors outside the first; sub_b spans the second.
+    outside_a flags the vectors outside the first; sub_b spans the second,
+    and rank_b is its rank.
     """
     pairs = list(zip(vecs, outside_a))
     va = vb = None
     for v, out_a in pairs[::-1] if tie_break == "last" else pairs:
-        out_b = not linalg.in_span(sub_b, v)
+        out_b = linalg.rank(sub_b + [v]) > rank_b
         if out_a and out_b:
             return v
         if out_a and va is None:

@@ -66,6 +66,19 @@ def monomials_of_degree(w, d):
     return list(_monomials_of_degree(w.a, w.b, w.c, d))
 
 
+def coprime_triples(c_max):
+    """All pairwise coprime a < b < c <= c_max, in sorted order."""
+    out = []
+    for c in range(3, c_max + 1):
+        for b in range(2, c):
+            if gcd(b, c) != 1:
+                continue
+            for a in range(1, b):
+                if gcd(a, b) == 1 and gcd(a, c) == 1:
+                    out.append((a, b, c))
+    return sorted(out)
+
+
 def monoid_member(n, p, q):
     """True iff n = alpha*p + beta*q for some non-negative integers alpha, beta."""
     if p < 1 or q < 1:

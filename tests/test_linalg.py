@@ -5,9 +5,15 @@ from math import gcd, lcm
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from wpp_mori import linalg
+from wpp_mori import linalg, orthpair
+from wpp_mori.weights import WeightTriple
+
+BIG_PRIME = 2**61 - 1  # above 2^40: slots several words wide
 
 
 def random_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -49,6 +55,81 @@ def test_kernel_basis_annihilates_and_counts():
             g = gcd(*(int(x) for x in scaled))
             theirs.append(tuple(int(x) // g for x in scaled))
         assert basis == theirs
+
+
+def rank_mod(m, ncols, p):
+    entries = [[sympy.ZZ(x) for x in r] for r in m]
+    return DomainMatrix(entries, (len(m), ncols), sympy.ZZ).convert_to(sympy.GF(p)).rank()
+
+
+@st.composite
+def tall_matrices(draw, bound=5):
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(ncols, 7))
+    row = st.lists(st.integers(-bound, bound), min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows)), ncols
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tall_matrices(), st.sampled_from([3, 7, linalg._PRIME, BIG_PRIME]))
+def test_full_rank_certificate_is_rank_mod_p(mn, p):
+    m, ncols = mn
+    certified = linalg._full_rank_mod_p(m, ncols, p)
+    assert certified == (rank_mod(m, ncols, p) == ncols)
+    if certified:
+        assert sympy.Matrix(m).rank() == ncols
+    if p == BIG_PRIME:
+        # |entries| <= 5 and at most 5 columns: every minor is below 2^40
+        assert certified == (linalg.rank(m) == ncols)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(tall_matrices(bound=10**30))
+def test_full_rank_certificate_is_sound_on_huge_entries(mn):
+    m, ncols = mn
+    if linalg._full_rank_mod_p(m, ncols):
+        assert linalg.rank(m) == ncols
+
+
+@pytest.mark.parametrize("p", [linalg._PRIME, BIG_PRIME])
+def test_full_rank_certificate_misses_when_p_divides_the_determinant(p):
+    for m in ([[p]], [[1, 1], [1, 1 + p]], [[p, 0], [0, 1], [0, 2 * p]]):
+        ncols = len(m[0])
+        assert not linalg._full_rank_mod_p(m, ncols, p)
+        assert linalg.rank(m) == ncols
+        # for p = _PRIME this is the exact path's answer
+        assert linalg.kernel_basis(m, ncols) == []
+
+
+def _visited_slices(monkeypatch, w, mu_cap):
+    """Condition matrices of every slice mds_test(w, mu_cap) eliminates."""
+    seen = []
+    kernel_basis = linalg.kernel_basis
+
+    def record(rows, ncols):
+        seen.append((rows, ncols))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(linalg, "kernel_basis", record)
+    verdict = orthpair.mds_test(w, mu_cap)
+    monkeypatch.undo()
+    return verdict, seen
+
+
+def test_full_rank_certificate_on_condition_matrices(monkeypatch):
+    verdict, seen = _visited_slices(monkeypatch, WeightTriple(9, 10, 13), 11)
+    assert verdict.outcome == "Inconclusive" and len(seen) == 385
+    # the whole f1 degree scan is certified, and correctly so
+    assert all(linalg._full_rank_mod_p(rows, n) for rows, n in seen)
+    assert all(linalg.rank(rows) == n for rows, n in seen)
+    for triple in [(2, 3, 5), (7, 3, 11), (4, 5, 7), (3, 5, 7)]:
+        verdict, seen = _visited_slices(monkeypatch, WeightTriple(*triple), 6)
+        assert verdict.is_mori_dream
+        full = [linalg.rank(rows) == n for rows, n in seen]
+        assert 0 < sum(full) < len(seen)
+        for (rows, n), exact in zip(seen, full):
+            if len(rows) >= n and linalg._full_rank_mod_p(rows, n):
+                assert exact
 
 
 def test_kernel_basis_deterministic():
