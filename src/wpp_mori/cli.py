@@ -140,19 +140,24 @@ def cmd_mds_test(args):
 
 
 def _scan_one(task):
+    """One scan record; a triple whose search raises gets an Error record instead.
+
+    Catching here keeps one failing triple from aborting a `--workers` pool.
+    """
     a, b, c, mu_cap = task
     start = time.monotonic()
-    verdict = orthpair.mds_test(WeightTriple(a, b, c), mu_cap)
-    record = {
-        "a": a,
-        "b": b,
-        "c": c,
-        "verdict": verdict.outcome,
-        "signature": list(verdict.pair.signature()) if verdict.pair else None,
-        "mu_cap": mu_cap,
-        "wall_time": round(time.monotonic() - start, 3),
-        "engine": ENGINE,
-    }
+    record = {"a": a, "b": b, "c": c, "mu_cap": mu_cap}
+    try:
+        verdict = orthpair.mds_test(WeightTriple(a, b, c), mu_cap)
+    except Exception as e:
+        record["verdict"] = "Error"
+        record["signature"] = None
+        record["error"] = f"{type(e).__name__}: {e}"
+    else:
+        record["verdict"] = verdict.outcome
+        record["signature"] = list(verdict.pair.signature()) if verdict.pair else None
+    record["wall_time"] = round(time.monotonic() - start, 3)
+    record["engine"] = ENGINE
     return record
 
 
@@ -170,7 +175,8 @@ def load_records(path):
     last line is dropped, so its triple is recomputed, and cut from the file,
     so the next record starts on a line of its own; a complete last record
     without its newline gets one.  An unparsable line anywhere else is an
-    InputError.
+    InputError.  Error records count as missing, so their triples are
+    recomputed.
     """
     records = {}
     if not path.exists():
@@ -189,7 +195,8 @@ def load_records(path):
         except ValueError:
             partial = (n, start)
             continue
-        records[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
+        if rec["verdict"] != "Error":
+            records[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
     if partial is not None:
         with path.open("r+b") as fh:
             fh.truncate(partial[1])
@@ -231,16 +238,20 @@ def scan_triples(triples, mu_cap, out_path, workers=1):
 
 
 def scan_summary(records):
-    """Deterministic text summary listing the inconclusive triples."""
+    """Deterministic text summary listing the inconclusive and the failed triples."""
     inconclusive = sorted(
         (r["a"], r["b"], r["c"]) for r in records if r["verdict"] == "Inconclusive"
+    )
+    errors = sorted(
+        (r["a"], r["b"], r["c"], r["error"]) for r in records if r["verdict"] == "Error"
     )
     lines = [
         f"triples scanned: {len(records)}",
         f"inconclusive: {len(inconclusive)}",
+        f"errors: {len(errors)}",
     ]
-    for a, b, c in inconclusive:
-        lines.append(f"  {a} {b} {c}  inconclusive")
+    lines += [f"  {a} {b} {c}  inconclusive" for a, b, c in inconclusive]
+    lines += [f"  {a} {b} {c}  error: {error}" for a, b, c, error in errors]
     return "\n".join(lines)
 
 

@@ -2,6 +2,7 @@
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, le
 
 from .poly import SparsePoly, block_key, grevlex_key
 
@@ -33,33 +34,51 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 def _lcm_exp(e1, e2):
-    return tuple(max(a, b) for a, b in zip(e1, e2))
+    return tuple(map(max, e1, e2))
 
 
 def _divides_exp(e1, e2):
-    return all(a <= b for a, b in zip(e1, e2))
+    return all(map(le, e1, e2))
 
 
 def _reduce(f, basis, leads, key):
-    """Full normal form of f against (basis, leading exponents)."""
-    rem = SparsePoly.zero(f.variables)
-    g = f
-    while not g.is_zero():
-        gexp, gc = g.leading(key)
-        hit = None
-        for i, le in enumerate(leads):
-            if _divides_exp(le[0], gexp):
-                hit = i
+    """Full normal form of f against basis, with leads[i] = (exp, coeff) of basis[i].
+
+    Works in place on one term dict: each step subtracts q * x^diff * basis[i]
+    term by term and pops the cancelled leading term exactly.  Order keys are
+    memoised for the length of the call.
+    """
+    g = dict(f.terms)
+    rem = {}
+    keys = {}
+
+    def order(exp):
+        k = keys.get(exp)
+        if k is None:
+            k = keys[exp] = key(exp)
+        return k
+
+    while g:
+        gexp = max(g, key=order)
+        gc = g.pop(gexp)
+        for (lexp, lc), h in zip(leads, basis):
+            if _divides_exp(lexp, gexp):
                 break
-        if hit is None:
-            t = SparsePoly.monomial(f.variables, gexp, gc)
-            rem = rem + t
-            g = g - t
         else:
-            le, lc = leads[hit]
-            diff = tuple(a - b for a, b in zip(gexp, le))
-            g = g - basis[hit].mul_monomial(diff, gc / lc)
-    return rem
+            rem[gexp] = gc
+            continue
+        q = gc / lc
+        diff = tuple(a - b for a, b in zip(gexp, lexp))
+        for exp, c in h.terms.items():
+            if exp == lexp:
+                continue
+            exp = tuple(map(add, exp, diff))
+            c = g.get(exp, 0) - q * c
+            if c:
+                g[exp] = c
+            else:
+                del g[exp]
+    return SparsePoly._trusted(f.variables, rem)
 
 
 def normal_form(f, gb):
@@ -70,31 +89,35 @@ def normal_form(f, gb):
     return _reduce(f, gb.elements, leads, gb.key)
 
 
-def _spoly(f, g, key):
-    ef, cf = f.leading(key)
-    eg, cg = g.leading(key)
-    lcm = _lcm_exp(ef, eg)
+def _spoly(f, f_lead, g, g_lead, lcm):
+    (ef, cf), (eg, cg) = f_lead, g_lead
     s1 = f.mul_monomial(tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf)
     s2 = g.mul_monomial(tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg)
     return s1 - s2
 
 
-def _update_pairs(basis_leads, pairs, new_index, key):
-    """Gebauer-Moeller pair update on adding the polynomial at new_index."""
+def _update_pairs(lead_exps, pairs, pair_info, new_index, key):
+    """Gebauer-Moeller pair update on adding the polynomial at new_index.
+
+    `pair_info` maps each pair of `pairs` to (order key of its lcm, lcm); it
+    is updated in place to cover exactly the returned set.
+    """
     t = new_index
-    lt = basis_leads[t]
+    lt = lead_exps[t]
     kept = set()
     for (i, j) in pairs:
-        lij = _lcm_exp(basis_leads[i], basis_leads[j])
+        lij = pair_info[(i, j)][1]
         if (
             not _divides_exp(lt, lij)
-            or lij == _lcm_exp(basis_leads[i], lt)
-            or lij == _lcm_exp(basis_leads[j], lt)
+            or lij == _lcm_exp(lead_exps[i], lt)
+            or lij == _lcm_exp(lead_exps[j], lt)
         ):
             kept.add((i, j))
+        else:
+            del pair_info[(i, j)]
     by_lcm = {}
     for i in range(t):
-        by_lcm.setdefault(_lcm_exp(basis_leads[i], lt), []).append(i)
+        by_lcm.setdefault(_lcm_exp(lead_exps[i], lt), []).append(i)
     minimal = []
     for lcm in sorted(by_lcm, key=key):
         if all(not _divides_exp(m, lcm) for m in minimal):
@@ -102,11 +125,10 @@ def _update_pairs(basis_leads, pairs, new_index, key):
     for lcm in minimal:
         idxs = by_lcm[lcm]
         # drop the whole class if any member has coprime leads
-        if any(
-            lcm == tuple(a + b for a, b in zip(basis_leads[i], lt)) for i in idxs
-        ):
+        if any(lcm == tuple(map(add, lead_exps[i], lt)) for i in idxs):
             continue
         kept.add((idxs[0], t))
+        pair_info[(idxs[0], t)] = (key(lcm), lcm)
     return kept
 
 
@@ -128,53 +150,54 @@ def buchberger(
         return GroebnerBasis(ideal.variables, [], key)
     gens.sort(key=lambda p: key(p.leading(key)[0]))
     basis = []
-    leads = []
+    leads = []  # (exp, coeff) of each basis element, taken once when it is added
+    lead_exps = []
     pairs = set()
+    pair_info = {}  # pair -> (order key of its lcm, lcm), for the pairs in `pairs`
     steps = 0
 
     def add(p):
         basis.append(p)
-        leads.append(p.leading(key)[0])
-        return _update_pairs(leads, pairs, len(basis) - 1, key)
-
-    def lead_pairs():
-        return [(le, basis[i].leading(key)[1]) for i, le in enumerate(leads)]
+        leads.append(p.leading(key))
+        lead_exps.append(leads[-1][0])
+        return _update_pairs(lead_exps, pairs, pair_info, len(basis) - 1, key)
 
     for g in gens:
-        r = _reduce(g, basis, lead_pairs(), key)
+        r = _reduce(g, basis, leads, key)
         if not r.is_zero():
             pairs = add(r.primitive())
 
     while pairs:
-        pair = min(pairs, key=lambda p: key(_lcm_exp(leads[p[0]], leads[p[1]])))
+        pair = min(pairs, key=lambda p: pair_info[p][0])
         pairs.discard(pair)
         i, j = pair
-        lcm = _lcm_exp(leads[i], leads[j])
+        lcm = pair_info.pop(pair)[1]
         if weighted_bound is not None and weights is not None:
             if sum(w * e for w, e in zip(weights, lcm)) > weighted_bound:
                 continue
         steps += 1
         if steps > step_budget:
             raise StepBudgetExceeded(f"pair-reduction budget {step_budget} exhausted")
-        s = _spoly(basis[i], basis[j], key)
-        r = _reduce(s, basis, lead_pairs(), key)
+        s = _spoly(basis[i], leads[i], basis[j], leads[j], lcm)
+        r = _reduce(s, basis, leads, key)
         if not r.is_zero():
             pairs = add(r.primitive())
 
     # minimalize: drop elements whose lead is divisible by another lead
     keep = []
-    for i, le in enumerate(leads):
+    for i, lexp in enumerate(lead_exps):
         if not any(
-            j != i and _divides_exp(leads[j], le) and (leads[j] != le or j < i)
-            for j in range(len(leads))
+            j != i and _divides_exp(lead_exps[j], lexp) and (lead_exps[j] != lexp or j < i)
+            for j in range(len(lead_exps))
         ):
             keep.append(i)
     minimal = [basis[i] for i in keep]
+    minimal_leads = [leads[i] for i in keep]
     # inter-reduce and normalize to monic
     reduced = []
     for idx, p in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        other_leads = [q.leading(key) for q in others]
+        other_leads = minimal_leads[:idx] + minimal_leads[idx + 1:]
         r = _reduce(p, others, other_leads, key)
         reduced.append(r.monic(key))
     reduced.sort(key=lambda p: key(p.leading(key)[0]))

@@ -8,11 +8,12 @@ lexicographic in the declared variable order.
 import re
 from fractions import Fraction
 from math import gcd
+from operator import add, neg
 
 
 def grevlex_key(exp):
     """Sort key for graded reverse lexicographic order (larger key = larger monomial)."""
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
 def block_key(head):
@@ -45,6 +46,18 @@ class SparsePoly:
                 if clean[exp] == 0:
                     del clean[exp]
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, variables, terms):
+        """Wrap a clean term dict without validation or copying.
+
+        For internal arithmetic only: `variables` is already a tuple, and
+        `terms` maps exponent tuples of its length to nonzero Fractions.
+        """
+        p = object.__new__(cls)
+        p.variables = variables
+        p.terms = terms
+        return p
 
     # -- constructors -----------------------------------------------------
 
@@ -98,27 +111,47 @@ class SparsePoly:
         self._check_ring(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return SparsePoly(self.variables, terms)
+            c = terms.get(exp, 0) + c
+            if c:
+                terms[exp] = c
+            else:
+                del terms[exp]
+        return SparsePoly._trusted(self.variables, terms)
 
     def __neg__(self):
-        return SparsePoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._trusted(
+            self.variables, {e: -c for e, c in self.terms.items()}
+        )
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_ring(other)
+        terms = dict(self.terms)
+        for exp, c in other.terms.items():
+            c = terms.get(exp, 0) - c
+            if c:
+                terms[exp] = c
+            else:
+                del terms[exp]
+        return SparsePoly._trusted(self.variables, terms)
 
     def __mul__(self, other):
         self._check_ring(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return SparsePoly(self.variables, terms)
+                exp = tuple(map(add, e1, e2))
+                terms[exp] = terms.get(exp, 0) + c1 * c2
+        return SparsePoly._trusted(
+            self.variables, {e: c for e, c in terms.items() if c}
+        )
 
     def scale(self, c):
         c = Fraction(c)
-        return SparsePoly(self.variables, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return SparsePoly._trusted(self.variables, {})
+        return SparsePoly._trusted(
+            self.variables, {e: c * v for e, v in self.terms.items()}
+        )
 
     def __pow__(self, n):
         if n < 0:
@@ -133,13 +166,16 @@ class SparsePoly:
         return result
 
     def mul_monomial(self, exp, coeff=1):
+        """coeff * x^exp * self, for a nonnegative exponent tuple of the ring."""
         exp = tuple(exp)
-        return SparsePoly(
+        if len(exp) != len(self.variables) or any(e < 0 for e in exp):
+            raise ValueError(f"bad exponent tuple {exp} for {self.variables}")
+        c = Fraction(coeff)
+        if not c:
+            return SparsePoly._trusted(self.variables, {})
+        return SparsePoly._trusted(
             self.variables,
-            {
-                tuple(a + b for a, b in zip(e, exp)): c * Fraction(coeff)
-                for e, c in self.terms.items()
-            },
+            {tuple(map(add, e, exp)): v * c for e, v in self.terms.items()},
         )
 
     # -- structure --------------------------------------------------------

@@ -210,3 +210,42 @@ def test_coprime_triples():
     assert all(
         gcd(a, b) == gcd(b, c) == gcd(a, c) == 1 for (a, b, c) in triples
     )
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scan_records_a_raising_triple_as_error(tmp_path, monkeypatch, capsys, workers):
+    out_file = tmp_path / "scan.jsonl"
+    args = ("scan", "--c-max", "5", "--mu-cap", "5", "--out", str(out_file), "--workers", workers)
+    real = cli.orthpair.mds_test
+
+    def flaky(w, mu_cap):
+        if w.as_tuple() == (2, 3, 5):
+            raise RuntimeError("injected failure")
+        return real(w, mu_cap)
+
+    monkeypatch.setattr(cli.orthpair, "mds_test", flaky)
+    code, out, err = run(capsys, *args)
+    assert code == 0
+    assert "Traceback" not in err
+    assert "errors: 1" in out
+    assert "  2 3 5  error: RuntimeError: injected failure" in out
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert len(records) == 7
+    (bad,) = [r for r in records if r["verdict"] == "Error"]
+    assert (bad["a"], bad["b"], bad["c"]) == (2, 3, 5)
+    assert bad["error"] == "RuntimeError: injected failure"
+    assert bad["signature"] is None
+    assert all("error" not in r and r["verdict"] == "MoriDream" for r in records if r is not bad)
+
+    # resuming recomputes only the error triple, once the failure is gone
+    monkeypatch.setattr(cli.orthpair, "mds_test", real)
+    assert set(cli.load_records(out_file)) == {
+        (r["a"], r["b"], r["c"], r["mu_cap"]) for r in records if r is not bad
+    }
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert "errors: 0" in out
+    lines = out_file.read_text().splitlines()
+    assert len(lines) == 8
+    last = json.loads(lines[-1])
+    assert (last["a"], last["b"], last["c"], last["verdict"]) == (2, 3, 5, "MoriDream")

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wpp_mori import groebner
+from wpp_mori import coxring, groebner
 from wpp_mori.groebner import (
     GroebnerBasis,
     Ideal,
@@ -20,6 +22,7 @@ from wpp_mori.groebner import (
     saturate,
 )
 from wpp_mori.poly import SparsePoly, block_key, parse_poly
+from wpp_mori.weights import WeightTriple
 
 XYZ = ("x", "y", "z")
 
@@ -189,3 +192,57 @@ def test_block_order_elimination():
 def test_ideal_ring_validation():
     with pytest.raises(ValueError):
         Ideal(XYZ, [SparsePoly.variable(("u", "v"), "u")])
+
+
+@st.composite
+def ideal_and_poly(draw):
+    """A small ideal and a polynomial in 3 or 4 variables, with cancelling coefficients."""
+    ring = draw(st.sampled_from([XYZ, ("x", "y", "z", "t")]))
+    exps = st.tuples(*[st.integers(0, 2)] * len(ring))
+    coeffs = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2)])
+
+    def poly(max_size):
+        return SparsePoly(ring, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_size)))
+
+    gens = [poly(3) for _ in range(draw(st.integers(1, 3)))]
+    return Ideal(ring, gens), poly(6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(ideal_and_poly())
+def test_normal_form_matches_sympy_reduced(ideal_f):
+    ideal, f = ideal_f
+    syms = sympy.symbols(" ".join(ideal.variables))
+    gb = buchberger(ideal)
+    ref = sympy.groebner(
+        [to_sympy(g, syms) for g in ideal.generators], *syms, order="grevlex"
+    )
+    _, rem = sympy.reduced(to_sympy(f, syms), ref.exprs, *syms, order="grevlex")
+    nf = normal_form(f, gb)
+    assert sympy.expand(to_sympy(nf, syms) - rem) == 0
+    assert all(type(c) is Fraction and c != 0 for c in nf.terms.values())
+
+
+def _smallest_budget(ideal, f):
+    budget = 0
+    while True:
+        try:
+            saturate(ideal, f, step_budget=budget)
+            return budget
+        except StepBudgetExceeded:
+            budget += 1
+
+
+@pytest.mark.parametrize(
+    "triple, f12_steps, lattice_steps",
+    [((3, 4, 5), 10, 14), ((3, 5, 7), 11, 25)],
+    ids=["3_4_5", "3_5_7"],
+)
+def test_saturation_step_counts_are_pinned(triple, f12_steps, lattice_steps):
+    # The smallest budgets pin the S-pair selection order: a change in it
+    # moves the step at which StepBudgetExceeded (exit 3) fires.
+    w = WeightTriple(*triple)
+    f1, f2, _, _ = coxring.mult2_fs(w)
+    xyz = P("x*y*z")
+    assert _smallest_budget(Ideal(XYZ, [f1, f2]), xyz) == f12_steps
+    assert _smallest_budget(Ideal(XYZ, coxring.chart_binomials(w)), xyz) == lattice_steps

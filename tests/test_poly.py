@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpp_mori.poly import SparsePoly, block_key, divides, grevlex_key, parse_poly
 
@@ -162,3 +164,91 @@ def test_mismatched_rings_rejected():
         f + g
     with pytest.raises(ValueError):
         f * g
+
+
+# -- the unvalidated internal arithmetic against the validating constructor --
+
+RINGS = (XYZ, ("x", "y", "z", "t"))
+# Few exponents and a few coefficients that sum to zero in several ways, so
+# that sums, differences and products cancel terms.
+COEFFS = st.sampled_from(
+    [Fraction(c) for c in (-2, -1, 1, 2)] + [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2)]
+)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials of one 3- or 4-variable ring; g reuses some of f's terms negated."""
+    ring = draw(st.sampled_from(RINGS))
+    exps = st.tuples(*[st.integers(0, 2)] * len(ring))
+    f_terms = draw(st.dictionaries(exps, COEFFS, max_size=6))
+    g_terms = draw(st.dictionaries(exps, COEFFS, max_size=6))
+    if f_terms:
+        for exp in draw(st.lists(st.sampled_from(sorted(f_terms)), max_size=4)):
+            g_terms[exp] = -f_terms[exp]
+    return SparsePoly(ring, f_terms), SparsePoly(ring, g_terms)
+
+
+def validated(ring, raw_terms):
+    """The validating constructor applied to a raw (exp, coeff) list that may hold zeros."""
+    acc = {}
+    for exp, c in raw_terms:
+        acc[exp] = acc.get(exp, 0) + c
+    return SparsePoly(ring, acc)
+
+
+def assert_clean(p):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(len(e) == len(p.variables) and min(e) >= 0 for e in p.terms)
+    assert p.terms == SparsePoly(p.variables, p.terms).terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(poly_pairs())
+def test_internal_arithmetic_matches_validating_constructor(fg):
+    f, g = fg
+    ring = f.variables
+    fi, gi = list(f.terms.items()), list(g.terms.items())
+    expected = {
+        "add": validated(ring, fi + gi),
+        "sub": validated(ring, fi + [(e, -c) for e, c in gi]),
+        "neg": validated(ring, [(e, -c) for e, c in fi]),
+        "mul": validated(
+            ring,
+            [(tuple(a + b for a, b in zip(e1, e2)), c1 * c2) for e1, c1 in fi for e2, c2 in gi],
+        ),
+    }
+    got = {"add": f + g, "sub": f - g, "neg": -f, "mul": f * g}
+    for op, result in got.items():
+        assert result == expected[op], op
+        assert_clean(result)
+    assert (f - f).is_zero() and (f + -f).is_zero()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    poly_pairs(),
+    st.sampled_from([0, 1, -3, Fraction(0), Fraction(2, 3), Fraction(-5, 7)]),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+)
+def test_scale_and_mul_monomial_match_validating_constructor(fg, c, mono):
+    f, _ = fg
+    ring = f.variables
+    mono = tuple(mono[: len(ring)])
+    scaled = f.scale(c)
+    assert scaled == validated(ring, [(e, v * c) for e, v in f.terms.items()])
+    assert_clean(scaled)
+    shifted = f.mul_monomial(mono, c)
+    assert shifted == validated(
+        ring, [(tuple(a + b for a, b in zip(e, mono)), v * c) for e, v in f.terms.items()]
+    )
+    assert_clean(shifted)
+    assert f.mul_monomial(mono) == f * SparsePoly.monomial(ring, mono)
+
+
+def test_mul_monomial_rejects_bad_exponents():
+    f = P("x + y")
+    with pytest.raises(ValueError):
+        f.mul_monomial((1, -1, 0))
+    with pytest.raises(ValueError):
+        f.mul_monomial((1, 1))
