@@ -379,41 +379,6 @@ def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
     return VerificationReport(checks)
 
 
-def describing_matrix(w):
-    """3x5 matrix of the blow-up in the c = m*a + n*b normalization."""
-    weights = sorted(w.as_tuple())
-    a, b, c = weights
-    if not monoid_member(c, a, b):
-        raise ValueError(f"largest weight {c} is not in the monoid of {a}, {b}")
-    m, n = _monoid_witness(c, a, b)
-    return [
-        [-c, b, 0, 0, 0],
-        [-c, 0, 1, 1, 0],
-        [-m, -n, 0, 1, 1],
-    ]
-
-
-def cor3bc_witness(b, c):
-    """The unique positive n with 2b = 3n + c for a non-monoid triple (3, b, c)."""
-    if not (3 < b < c):
-        raise ValueError("expect 3 < b < c")
-    w = WeightTriple(3, b, c)
-    if (
-        monoid_member(3, b, c)
-        or monoid_member(b, 3, c)
-        or monoid_member(c, 3, b)
-    ):
-        raise ValueError("a weight lies in the monoid of the other two")
-    if (b + c) % 3 != 0:
-        raise ValueError(f"b + c = {b + c} is not divisible by 3")
-    if (2 * b - c) % 3 != 0 or 2 * b <= c:
-        raise ValueError("no positive n with 2b = 3n + c")
-    n = (2 * b - c) // 3
-    if c <= 3 * n:
-        raise ValueError(f"c = {c} fails c > 3n = {3 * n}")
-    return n
-
-
 def presentation_text(pres):
     """Structured text form: generator table, then the relation list."""
     lines = [f"variant: {pres.variant}", f"weights: {pres.weights}"]

@@ -6,13 +6,12 @@ monomial quotients down the torus chart.  Kernels of the resulting integer
 condition matrices give the graded pieces of the symbolic powers I^mu : J^oo.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from . import linalg
 from .poly import SparsePoly
-from .weights import WeightTriple, monomials_of_degree
+from .weights import monomials_of_degree
 
 XYZ = ("x", "y", "z")
 
@@ -110,16 +109,6 @@ def nonzero_at_order(w, d, vecs, order):
     return [any(sum(r * x for r, x in zip(row, v)) for row in rows) for v in vecs]
 
 
-@dataclass
-class SymbolicSlice:
-    """A degree piece of a symbolic power: dimension and an integer basis."""
-
-    d: int
-    mu: int
-    dim: int
-    basis: list  # list of SparsePoly
-
-
 def slice_dim(w, d, mu):
     """dim of {f in S_d : mult of f at [1,1,1] >= mu}, without building a basis."""
     rows, monos = condition_matrix(w, d, mu)
@@ -133,17 +122,7 @@ def slice_kernel_vectors(w, d, mu):
 
 
 def _vector_to_poly(vec, monos):
-    p = SparsePoly(XYZ, {m: c for m, c in zip(monos, vec) if c})
-    return p.primitive() if not p.is_zero() else p
-
-
-def symbolic_slice(w, d, mu):
-    """Dimension and basis of the forms of degree d with multiplicity >= mu at [1,1,1]."""
-    if d < 0 or mu < 0:
-        raise ValueError("degree and multiplicity must be non-negative")
-    vecs, monos = slice_kernel_vectors(w, d, mu)
-    basis = [_vector_to_poly(v, monos) for v in vecs]
-    return SymbolicSlice(d=d, mu=mu, dim=len(vecs), basis=basis)
+    return SparsePoly(XYZ, {m: c for m, c in zip(monos, vec) if c}).primitive()
 
 
 def _coefficient_vector(f, monos):
@@ -176,30 +155,69 @@ def rees_multiplicity(w, f):
     d = f.weighted_degree(w.as_tuple())
     if d is None:
         raise ValueError("polynomial is not weighted-homogeneous")
-    vec = _coefficient_vector(f, monomials_of_degree(w, d))
+    # scaling keeps the multiplicity, and integer sums are cheaper than Fraction ones
+    vec = [int(c) for c in _coefficient_vector(f.primitive(), monomials_of_degree(w, d))]
     return _vanishing_order(w, d, vec)
 
 
-def generic_exact_multiplicity(w, d, mu_min, tie_break="first"):
-    """Exact multiplicity of the generic member of V(d, mu_min), with a witness.
+def exact_witness(w, d, mu, factor=None, tie_break="first"):
+    """A form of V(d, mu) of multiplicity exactly mu that factor does not divide.
 
-    Returns (mu_min, witness): witness lies in V(d, mu_min) but not in
-    V(d, mu_min + 1).  A nonzero V(d, mu) always strictly contains
-    V(d, mu + 1): its rows evaluate the polynomials of degree < mu at the
-    distinct chart points of the degree-d monomials, and the Hilbert
-    function of a finite point set rises strictly until it reaches the
-    number of points.  So the generic multiplicity is mu_min itself.
+    Returns None when V(d, mu) is zero or lies inside factor*S.  The form is
+    a kernel basis vector of V(d, mu), or the sum of two of them; tie_break
+    "last" scans the basis from its end.
+
+    A nonzero V(d, mu) always strictly contains V(d, mu + 1): its rows
+    evaluate the polynomials of degree < mu at the distinct chart points of
+    the degree-d monomials, and the Hilbert function of a finite point set
+    rises strictly until it reaches the number of points.  The multiples of
+    factor inside V(d, mu) are factor * V(d - d_f, mu - mu_f).  When both are
+    proper subspaces, some form avoids them both: a vector space over an
+    infinite field is never a union of two proper subspaces.
     """
-    vecs, monos = slice_kernel_vectors(w, d, mu_min)
+    vecs, monos = slice_kernel_vectors(w, d, mu)
     if not vecs:
-        raise ValueError(f"empty slice V({d},{mu_min})")
-    return _generic_witness(w, d, mu_min, vecs, monos, tie_break)
+        return None
+    exact = nonzero_at_order(w, d, vecs, mu)
+    if not any(exact):
+        raise AssertionError(f"V({d},{mu}) does not strictly contain V({d},{mu + 1})")
+    multiples = [] if factor is None else _multiple_vectors(w, factor, d, mu, monos)
+    r = linalg.rank(multiples) if multiples else 0
+    if r >= len(vecs):
+        return None
+    pairs = list(zip(vecs, exact))
+    va = vb = None
+    for v, out_a in pairs[::-1] if tie_break == "last" else pairs:
+        out_b = not multiples or linalg.rank(multiples + [v]) > r
+        if out_a and out_b:
+            return _vector_to_poly(v, monos)
+        if out_a and va is None:
+            va = v
+        if out_b and vb is None:
+            vb = v
+    # va lies among the multiples and vb in V(d, mu + 1), so their sum avoids both
+    return _vector_to_poly([x + y for x, y in zip(va, vb)], monos)
 
 
-def _generic_witness(w, d, mu_min, vecs, monos, tie_break):
-    """generic_exact_multiplicity, given the kernel basis vecs of V(d, mu_min)."""
-    order = vecs[::-1] if tie_break == "last" else vecs
-    hits = nonzero_at_order(w, d, order, mu_min)
-    if not any(hits):
-        raise AssertionError(f"V({d},{mu_min}) does not strictly contain V({d},{mu_min + 1})")
-    return mu_min, _vector_to_poly(order[hits.index(True)], monos)
+def _multiple_vectors(w, factor, d, mu, monos):
+    """Coefficient vectors of factor * V(d - d_f, mu - mu_f) in the monomials monos.
+
+    Each is the integer convolution of factor with a kernel basis vector;
+    only the span of the result matters.
+    """
+    mu_f = rees_multiplicity(w, factor)
+    d_f = factor.weighted_degree(w.as_tuple())
+    if d < d_f:
+        return []
+    vecs, sub_monos = slice_kernel_vectors(w, d - d_f, max(0, mu - mu_f))
+    index = {m: i for i, m in enumerate(monos)}
+    terms = [(exp, int(c)) for exp, c in factor.primitive().terms.items()]
+    out = []
+    for g in vecs:
+        vec = [0] * len(monos)
+        for m, x in zip(sub_monos, g):
+            if x:
+                for exp, c in terms:
+                    vec[index[(exp[0] + m[0], exp[1] + m[1], exp[2] + m[2])]] += c * x
+        out.append(vec)
+    return out

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional
 
-from . import linalg, mult
+from . import mult
 from .poly import SparsePoly, divides
-from .weights import ClassElement, WeightTriple, intersection
+from .weights import ClassElement, intersection
 
 
 @dataclass(frozen=True)
@@ -64,85 +64,33 @@ def find_f1(w, d_cap, tie_break="first"):
     """Minimal-degree form with non-positive self-intersection after blow-up.
 
     Scans degrees d = 1..d_cap for a nonzero slice V(d, mu*(d)) where
-    mu*(d) is the least mu with d^2 <= mu^2*abc; returns (d, mu_exact,
-    witness) for the first hit, or None if the cap is exhausted.
+    mu*(d) is the least mu with d^2 <= mu^2*abc; returns (d, mu*(d),
+    witness) for the first hit, or None if the cap is exhausted.  The
+    witness has multiplicity exactly mu*(d).
     """
     for d in range(1, d_cap + 1):
-        mu_star = minimal_mu(d, w.abc)
-        vecs, monos = mult.slice_kernel_vectors(w, d, mu_star)
-        if vecs:
-            mu, witness = mult._generic_witness(w, d, mu_star, vecs, monos, tie_break)
+        mu = minimal_mu(d, w.abc)
+        witness = mult.exact_witness(w, d, mu, tie_break=tie_break)
+        if witness is not None:
             return d, mu, witness
     return None
-
-
-def _f1_multiple_vectors(w, f1, d1, mu1, d2, mu2, monos):
-    """Coefficient vectors of f1 * V(d2-d1, mu2-mu1) inside the degree-d2 slice."""
-    if d2 < d1:
-        return []
-    sub = mult.symbolic_slice(w, d2 - d1, max(0, mu2 - mu1))
-    index = {m: i for i, m in enumerate(monos)}
-    out = []
-    for g in sub.basis:
-        p = f1 * g
-        vec = [0] * len(monos)
-        for exp, c in p.terms.items():
-            # products of primitive integer polynomials have integer coefficients
-            vec[index[exp]] = int(c)
-        out.append(tuple(vec))
-    return out
 
 
 def find_f2(w, d1, mu1, f1, d_cap, tie_break="first"):
     """Minimal-degree partner form orthogonal to f1 and not a multiple of it.
 
     Candidate degrees are the multiples of mu1*abc / gcd(d1, mu1*abc), the
-    degrees at which mu2 = d1*d2/(mu1*abc) is a positive integer.  A partner
-    of exact multiplicity mu2 outside f1*S exists iff the slice V(d2, mu2)
-    strictly contains both V(d2, mu2+1) and the f1-multiples (a vector space
-    over an infinite field is never a union of two proper subspaces).
+    degrees at which mu2 = d1*d2/(mu1*abc) is a positive integer.  The first
+    candidate with a form of exact multiplicity mu2 outside f1*S wins.
     """
     q = mu1 * w.abc
     step = q // gcd(d1, q)
     for d2 in range(step, d_cap + 1, step):
         mu2 = d1 * d2 // q
-        vecs, monos = mult.slice_kernel_vectors(w, d2, mu2)
-        if not vecs:
-            continue
-        # exact[i]: basis vector i lies outside V(d2, mu2+1), a proper
-        # subspace by the argument in mult.generic_exact_multiplicity
-        exact = mult.nonzero_at_order(w, d2, vecs, mu2)
-        if not any(exact):
-            raise AssertionError(f"V({d2},{mu2}) does not strictly contain V({d2},{mu2 + 1})")
-        multiples = _f1_multiple_vectors(w, f1, d1, mu1, d2, mu2, monos)
-        r = linalg.rank(multiples)
-        if r >= len(vecs):
-            continue
-        witness = _outside_two_subspaces(vecs, exact, multiples, r, tie_break)
-        return d2, mu2, mult._vector_to_poly(witness, monos)
+        witness = mult.exact_witness(w, d2, mu2, factor=f1, tie_break=tie_break)
+        if witness is not None:
+            return d2, mu2, witness
     return None
-
-
-def _outside_two_subspaces(vecs, outside_a, sub_b, rank_b, tie_break):
-    """A vector in span(vecs) avoiding two proper subspaces, deterministically.
-
-    outside_a flags the vectors outside the first; sub_b spans the second,
-    and rank_b is its rank.
-    """
-    pairs = list(zip(vecs, outside_a))
-    va = vb = None
-    for v, out_a in pairs[::-1] if tie_break == "last" else pairs:
-        out_b = linalg.rank(sub_b + [v]) > rank_b
-        if out_a and out_b:
-            return v
-        if out_a and va is None:
-            va = v
-        if out_b and vb is None:
-            vb = v
-    if va is None or vb is None:
-        raise AssertionError("subspace was not proper")
-    # va lies in sub_b and vb in the first subspace, so their sum avoids both
-    return tuple(x + y for x, y in zip(va, vb))
 
 
 def check_pair(w, pair):
@@ -181,10 +129,3 @@ def mds_test(w, mu_cap=14, tie_break="first"):
     check_pair(w, pair)
     return MdsVerdict("MoriDream", pair=pair)
 
-
-def pair_degrees(w, mu_cap=14, tie_break="first"):
-    """Numeric signature (d1, mu1, d2, mu2) of the pair, or None if inconclusive."""
-    verdict = mds_test(w, mu_cap, tie_break)
-    if not verdict.is_mori_dream:
-        return None
-    return verdict.pair.signature()

@@ -255,7 +255,11 @@ class SparsePoly:
     # -- ring changes -----------------------------------------------------
 
     def rename_ring(self, variables, mapping=None):
-        """Move to a ring with different variables; old variables map by name."""
+        """Move to a ring with different variables; old variables map by name.
+
+        Several old variables may map to one new variable: their exponents
+        add, and so do the coefficients of terms that then coincide.
+        """
         variables = tuple(variables)
         mapping = mapping or {v: v for v in self.variables}
         idx = {}
@@ -268,8 +272,9 @@ class SparsePoly:
                 if e:
                     if i not in idx:
                         raise ValueError(f"variable {self.variables[i]} has no image")
-                    new_exp[idx[i]] = e
-            terms[tuple(new_exp)] = c
+                    new_exp[idx[i]] += e
+            new_exp = tuple(new_exp)
+            terms[new_exp] = terms[new_exp] + c if new_exp in terms else c
         return SparsePoly(variables, terms)
 
     def substitute(self, assignment):

@@ -7,10 +7,6 @@ from math import gcd
 from typing import NamedTuple
 
 
-class FrobeniusUndefinedError(ValueError):
-    """Raised when the two-generator Frobenius number does not exist."""
-
-
 @dataclass(frozen=True)
 class WeightTriple:
     """Pairwise coprime positive weights (a, b, c) with deg(x,y,z) = (a,b,c)."""
@@ -87,17 +83,6 @@ def monoid_member(n, p, q):
         if (n - alpha * p) % q == 0:
             return True
     return False
-
-
-def frobenius(p, q):
-    """Largest integer not representable as a non-negative combination of p and q."""
-    if p < 2 or q < 2:
-        raise FrobeniusUndefinedError(
-            f"no Frobenius number for ({p},{q}): all large integers are representable"
-        )
-    if gcd(p, q) != 1:
-        raise FrobeniusUndefinedError(f"generators must be coprime, gcd = {gcd(p, q)}")
-    return p * q - p - q
 
 
 def intersection(w, u, v):

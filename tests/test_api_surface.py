@@ -1,0 +1,49 @@
+"""Every public top-level function and class of the package has a caller in the package.
+
+A public name whose only caller is its own unit test is dead weight: it has to
+be kept correct and documented but serves no command.  The few names below are
+kept because an acceptance criterion or the benchmark's own tests call them.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "wpp_mori"
+
+ALLOWED_UNCALLED = {
+    "linalg.in_span": "acceptance criterion 7 (congruence of the reduced weights)",
+    "m0n.unimodular_equivalent": "acceptance criterion 7 (lattice equivalence)",
+    "m0n.search_weights": "acceptance criterion 7 (weight search)",
+    "mult.slice_dim": "acceptance criterion 8 and bench/test_bench.py (tracer spans)",
+    "groebner.ideal_member": "acceptance criterion 10 (saturation membership)",
+}
+
+
+def _names(node):
+    """How often each name is used inside a syntax tree."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            names[sub.name] += 1
+    return names
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    uncalled = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        # uses inside the definition itself (recursion) do not count
+        and used[node.name] == _names(node)[node.name]
+    ]
+    # an allowed name that gains a caller leaves the list, so the list stays exact
+    assert sorted(uncalled) == sorted(ALLOWED_UNCALLED)

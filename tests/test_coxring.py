@@ -7,8 +7,6 @@ from wpp_mori.coxring import (
     ParityError,
     chart_binomials,
     classify,
-    cor3bc_witness,
-    describing_matrix,
     kstar_presentation,
     mult2_fs,
     mult2_presentation,
@@ -135,26 +133,6 @@ def test_chart_binomials_define_the_point():
         for g in gens:
             assert g.evaluate((1, 1, 1)) == 0
             assert g.weighted_degree((a, b, c)) is not None
-
-
-def test_describing_matrix_golden():
-    assert describing_matrix(WeightTriple(2, 3, 7)) == [
-        [-7, 3, 0, 0, 0],
-        [-7, 0, 1, 1, 0],
-        [-2, -1, 0, 1, 1],
-    ]
-    with pytest.raises(ValueError):
-        describing_matrix(WeightTriple(9, 10, 13))
-
-
-def test_cor3bc_witness():
-    assert cor3bc_witness(4, 5) == 1
-    n = cor3bc_witness(4, 5)
-    assert 2 * 4 == 3 * n + 5
-    with pytest.raises(ValueError):
-        cor3bc_witness(5, 4)
-    with pytest.raises(ValueError):
-        cor3bc_witness(4, 11)  # 11 = 3 + 2*4 lies in the monoid of 3 and 4
 
 
 def test_parity_error():

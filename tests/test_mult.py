@@ -7,10 +7,13 @@ are computed with sympy, independently of the package's lattice chart.
 """
 
 import random
+from fractions import Fraction
 from math import comb, gcd
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wpp_mori import linalg, mult
 from wpp_mori.poly import SparsePoly, parse_poly
@@ -65,14 +68,22 @@ def test_slice_dim_high_multiplicity_spot_checks():
     assert mult.slice_dim(w, 91, 3) == oracle_slice_dim(w, 91, 3) == 1
 
 
+def _poly(vec, monos):
+    return SparsePoly(XYZ, {m: c for m, c in zip(monos, vec) if c})
+
+
+def _vector(f, monos):
+    return [int(f.terms.get(m, 0)) for m in monos]
+
+
 def test_symbolic_slice_basis_consistency():
     for (a, b, c) in [(2, 3, 5), (7, 3, 11)]:
         w = WeightTriple(a, b, c)
         for d in range(1, 20):
             for mu in range(1, 3):
-                sl = mult.symbolic_slice(w, d, mu)
-                assert sl.dim == len(sl.basis) == mult.slice_dim(w, d, mu)
-                for f in sl.basis:
+                vecs, monos = mult.slice_kernel_vectors(w, d, mu)
+                assert len(vecs) == mult.slice_dim(w, d, mu)
+                for f in (_poly(v, monos) for v in vecs):
                     assert f.weighted_degree(w.as_tuple()) == d
                     assert mult.rees_multiplicity(w, f) >= mu
                     assert oracle_multiplicity(w, f) >= mu
@@ -89,6 +100,8 @@ def test_rees_multiplicity_goldens():
     assert mult.rees_multiplicity(w, parse_poly("x", XYZ)) == 0
     for f in (f1, f2, f3, f4):
         assert mult.rees_multiplicity(w, f) == oracle_multiplicity(w, f)
+    # rational coefficients: scaling keeps the multiplicity
+    assert mult.rees_multiplicity(w, f4.scale(Fraction(-2, 3))) == 2
 
 
 def test_rees_multiplicity_errors():
@@ -119,21 +132,43 @@ def test_binom_int():
         mult.binom_int(3, -1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rees_multiplicity_matches_oracle_on_random_forms(data):
+    w = WeightTriple(*data.draw(st.sampled_from(TRIPLES)))
+    d = data.draw(st.integers(0, 14))
+    monos = monomials_of_degree(w, d)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+    g = _poly(coeffs, monos)
+    assume(not g.is_zero())
+    # a binomial of two distinct monomials of one degree has multiplicity 1,
+    # so multiplying by its powers reaches multiplicities 2 and more
+    d_line = data.draw(st.sampled_from(
+        [e for e in range(1, w.a * w.b + 1) if len(monomials_of_degree(w, e)) >= 2]
+    ))
+    m1, m2 = data.draw(st.lists(
+        st.sampled_from(monomials_of_degree(w, d_line)), min_size=2, max_size=2, unique=True,
+    ))
+    binomial = SparsePoly(XYZ, {m1: 1, m2: -1})
+    f = g * binomial ** data.draw(st.integers(0, 4))
+    assert mult.rees_multiplicity(w, f) == oracle_multiplicity(w, f)
+
+
 def test_generic_exact_multiplicity():
+    # the generic member of a nonzero V(d, mu) has multiplicity exactly mu
     w = WeightTriple(2, 3, 5)
-    mu, witness = mult.generic_exact_multiplicity(w, 5, 1)
-    assert mu == 1
+    witness = mult.exact_witness(w, 5, 1)
     assert mult.rees_multiplicity(w, witness) == 1
     assert str(witness) == "x*y - z"
-    with pytest.raises(ValueError):
-        mult.generic_exact_multiplicity(w, 1, 1)
+    assert mult.exact_witness(w, 1, 1) is None
+    # V(5, 1) is spanned by x*y - z, so it has no form outside its multiples
+    assert mult.exact_witness(w, 5, 1, factor=witness) is None
 
 
 def test_generic_exact_multiplicity_tie_breaks_agree_in_exactness():
     w = WeightTriple(7, 3, 11)
     for tie in ("first", "last"):
-        mu, witness = mult.generic_exact_multiplicity(w, 14, 1, tie_break=tie)
-        assert mu == 1
+        witness = mult.exact_witness(w, 14, 1, tie_break=tie)
         assert mult.rees_multiplicity(w, witness) == 1
 
 
@@ -150,7 +185,34 @@ def test_generic_exact_multiplicity_matches_oracle():
         mu_oracle = mu_min
         while oracle_slice_dim(w, d, mu_oracle + 1) == dim:
             mu_oracle += 1
+        assert mu_oracle == mu_min, (w.as_tuple(), d, mu_min)
         for tie in ("first", "last"):
-            mu, witness = mult.generic_exact_multiplicity(w, d, mu_min, tie_break=tie)
-            assert mu == mu_oracle, (w.as_tuple(), d, mu_min)
-            assert oracle_multiplicity(w, witness) == mu
+            witness = mult.exact_witness(w, d, mu_min, tie_break=tie)
+            assert mult.rees_multiplicity(w, witness) == mu_min, (w.as_tuple(), d, mu_min)
+            assert oracle_multiplicity(w, witness) == mu_min
+
+
+def test_exact_witness_adds_two_basis_vectors(monkeypatch):
+    # Every echelon kernel basis vector met so far has exact multiplicity mu,
+    # so the witness is always one of them.  A basis of V(4, 1) for (1, 2, 3)
+    # whose forms of multiplicity 1 are all multiples of x, completed by
+    # (x^2 - y)^2 in V(4, 2), leaves no single member that avoids both x*S and
+    # V(4, 2); the witness must be a sum of two members.
+    w, d, mu = WeightTriple(1, 2, 3), 4, 1
+    x = parse_poly("x", XYZ)
+    low, low_monos = mult.slice_kernel_vectors(w, 3, 1)
+    (square,), monos = mult.slice_kernel_vectors(w, 4, 2)
+    multiples = [_vector(x * _poly(v, low_monos), monos) for v in low]
+    basis = multiples + [list(square)]
+    assert linalg.rank(basis) == len(basis) == mult.slice_dim(w, d, mu)
+    slice_kernel_vectors = mult.slice_kernel_vectors
+    monkeypatch.setattr(
+        mult, "slice_kernel_vectors",
+        lambda w_, d_, mu_: (basis, monos) if (d_, mu_) == (d, mu)
+        else slice_kernel_vectors(w_, d_, mu_),
+    )
+    for tie in ("first", "last"):
+        witness = mult.exact_witness(w, d, mu, factor=x, tie_break=tie)
+        assert mult.rees_multiplicity(w, witness) == mu
+        assert oracle_multiplicity(w, witness) == mu
+        assert linalg.rank(multiples + [_vector(witness, monos)]) > linalg.rank(multiples)

@@ -11,7 +11,6 @@ from wpp_mori.orthpair import (
     find_f1,
     mds_test,
     minimal_mu,
-    pair_degrees,
 )
 from wpp_mori.poly import divides
 from wpp_mori.weights import WeightTriple
@@ -32,10 +31,10 @@ def test_minimal_mu():
 
 
 def test_golden_signatures():
-    assert pair_degrees(WeightTriple(1, 1, 1), 5) == (1, 1, 1, 1)
-    assert pair_degrees(WeightTriple(1, 2, 3), 5) == (2, 1, 3, 1)
-    assert pair_degrees(WeightTriple(2, 3, 5), 5) == (5, 1, 6, 1)
-    assert pair_degrees(WeightTriple(7, 3, 11), 5) == (14, 1, 33, 2)
+    assert mds_test(WeightTriple(1, 1, 1), 5).pair.signature() == (1, 1, 1, 1)
+    assert mds_test(WeightTriple(1, 2, 3), 5).pair.signature() == (2, 1, 3, 1)
+    assert mds_test(WeightTriple(2, 3, 5), 5).pair.signature() == (5, 1, 6, 1)
+    assert mds_test(WeightTriple(7, 3, 11), 5).pair.signature() == (14, 1, 33, 2)
 
 
 def test_golden_witnesses():
@@ -54,7 +53,6 @@ def test_inconclusive_triple():
     assert v.pair is None
     assert not v.is_mori_dream
     assert v.mu_cap == 5
-    assert pair_degrees(WeightTriple(9, 10, 13), 5) is None
 
 
 def test_mu_cap_validation():
@@ -88,7 +86,7 @@ def test_f1_degree_is_minimal():
 def test_signature_is_permutation_invariant():
     for triple in [(1, 2, 3), (2, 3, 5), (7, 3, 11)]:
         sigs = {
-            pair_degrees(WeightTriple(*p), 6) for p in permutations(triple)
+            mds_test(WeightTriple(*p), 6).pair.signature() for p in permutations(triple)
         }
         assert len(sigs) == 1
 
@@ -97,7 +95,7 @@ def test_mult2_triples_have_multiplicity_two_signature():
     # in the 2a = nb + mc regime the pair is (2a, 1, bc, 2)
     for (a, b, c) in [(7, 3, 11), (9, 5, 13), (8, 3, 13)]:
         w = WeightTriple(a, b, c)
-        assert pair_degrees(w, 5) == (2 * a, 1, b * c, 2)
+        assert mds_test(w, 5).pair.signature() == (2 * a, 1, b * c, 2)
 
 
 def test_tie_break_does_not_change_signature():

@@ -125,6 +125,11 @@ def test_rename_ring():
     with pytest.raises(ValueError):
         # t has positive exponent but no image
         SparsePoly.variable(big, "t").rename_ring(XYZ, {"x": "x"})
+    # two variables onto one: exponents add, colliding terms add or cancel
+    xy = ("x", "y")
+    glue = {"x": "u", "y": "u"}
+    assert str(parse_poly("x*y + x^2", xy).rename_ring(("u",), glue)) == "2*u^2"
+    assert parse_poly("x*y - x^2", xy).rename_ring(("u",), glue).is_zero()
 
 
 def test_divide_by_property():

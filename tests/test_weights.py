@@ -1,4 +1,4 @@
-"""Weight triples, graded monomial enumeration, monoid and Frobenius helpers."""
+"""Weight triples, graded monomial enumeration, monoid membership, intersections."""
 
 from fractions import Fraction
 from math import gcd
@@ -7,9 +7,7 @@ import pytest
 
 from wpp_mori.weights import (
     ClassElement,
-    FrobeniusUndefinedError,
     WeightTriple,
-    frobenius,
     intersection,
     monoid_member,
     monomials_of_degree,
@@ -70,23 +68,6 @@ def test_monoid_member_brute_force():
                     for alpha in range(n // p + 1)
                 )
                 assert monoid_member(n, p, q) == expected
-
-
-def test_frobenius_goldens():
-    assert frobenius(3, 5) == 7
-    assert frobenius(2, 7) == 5
-    assert frobenius(5, 7) == 23
-    with pytest.raises(FrobeniusUndefinedError):
-        frobenius(1, 5)
-    with pytest.raises(FrobeniusUndefinedError):
-        frobenius(4, 6)
-
-
-def test_frobenius_is_tight():
-    p, q = 3, 7
-    f = frobenius(p, q)
-    assert not monoid_member(f, p, q)
-    assert all(monoid_member(f + k, p, q) for k in range(1, 2 * p * q))
 
 
 def test_intersection_form():
