@@ -221,6 +221,8 @@ def scan_triples(triples, mu_cap, out_path, workers=1):
         if (a, b, c, mu_cap) not in existing
     ]
     if todo:
+        # more workers than triples would only start idle processes
+        workers = min(workers, len(todo))
         with out_path.open("a") as fh:
             if workers > 1:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -259,6 +261,8 @@ def cmd_scan(args):
     if args.c_max < 3:
         raise InputError("--c-max must be at least 3")
     _check_mu_cap(args)
+    if args.workers < 1:
+        raise InputError("--workers must be at least 1")
     out_path = (
         Path(args.out)
         if args.out

@@ -7,7 +7,7 @@ condition matrices give the graded pieces of the symbolic powers I^mu : J^oo.
 """
 
 from functools import lru_cache
-from math import comb
+from itertools import count, islice
 
 from . import linalg
 from .poly import SparsePoly
@@ -60,15 +60,6 @@ def chart_kernel_basis(w):
     return [list(b) for b in basis]
 
 
-def binom_int(n, k):
-    """Binomial coefficient C(n, k) for arbitrary integer n and k >= 0."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if n >= 0:
-        return comb(n, k) if k <= n else 0
-    return (-1) ** k * comb(k - n - 1, k)
-
-
 def _chart_exponents(w, d):
     """Monomials of degree d and their exponents (u, v) in the lattice chart."""
     monos = monomials_of_degree(w, d)
@@ -81,12 +72,22 @@ def _chart_exponents(w, d):
     return uv, monos
 
 
-def _order_rows(uv, order):
-    """Hasse-derivative conditions of one order, one row per (alpha, order - alpha)."""
-    return [
-        [binom_int(u, alpha) * binom_int(v, order - alpha) for u, v in uv]
-        for alpha in range(order + 1)
-    ]
+def _rows_by_order(uv):
+    """Hasse-derivative conditions, one list of rows per order 0, 1, 2, ...
+
+    Row alpha of order n holds C(u, alpha) * C(v, n - alpha) for each chart
+    exponent (u, v).  Each binomial comes from the one before it by
+    C(u, k + 1) = C(u, k) * (u - k) / (k + 1), an exact division also for
+    negative u.
+    """
+    us = [u for u, _ in uv]
+    vs = [v for _, v in uv]
+    bu = [[1] * len(uv)]
+    bv = [[1] * len(uv)]
+    for order in count():
+        yield [[x * y for x, y in zip(bu[alpha], bv[order - alpha])] for alpha in range(order + 1)]
+        bu.append([x * (u - order) // (order + 1) for x, u in zip(bu[-1], us)])
+        bv.append([x * (v - order) // (order + 1) for x, v in zip(bv[-1], vs)])
 
 
 def condition_matrix(w, d, mu):
@@ -98,15 +99,7 @@ def condition_matrix(w, d, mu):
     uv, monos = _chart_exponents(w, d)
     if not monos:
         return [], monos
-    return [row for order in range(mu) for row in _order_rows(uv, order)], monos
-
-
-def nonzero_at_order(w, d, vecs, order):
-    """For each coefficient vector of a degree-d form, whether some Hasse
-    derivative of this order is nonzero at [1,1,1]: for a form in
-    V(d, order), whether it lies outside V(d, order + 1)."""
-    rows = _order_rows(_chart_exponents(w, d)[0], order)
-    return [any(sum(r * x for r, x in zip(row, v)) for row in rows) for v in vecs]
+    return [row for rows in islice(_rows_by_order(uv), mu) for row in rows], monos
 
 
 def slice_dim(w, d, mu):
@@ -142,8 +135,8 @@ def _coefficient_vector(f, monos):
 def _vanishing_order(w, d, vec):
     """Least order at which the degree-d form vec has a nonzero Hasse derivative."""
     # a nonzero form has finite multiplicity; 2d + 2 safely bounds it
-    for order in range(2 * d + 3):
-        if nonzero_at_order(w, d, [vec], order)[0]:
+    for order, rows in zip(range(2 * d + 3), _rows_by_order(_chart_exponents(w, d)[0])):
+        if any(sum(r * x for r, x in zip(row, vec)) for row in rows):
             return order
     raise AssertionError("multiplicity bound exceeded for a nonzero form")
 
@@ -161,57 +154,49 @@ def rees_multiplicity(w, f):
 
 
 def exact_witness(w, d, mu, factor=None, tie_break="first"):
-    """A form of V(d, mu) of multiplicity exactly mu that factor does not divide.
+    """A form of V(d, mu) of multiplicity exactly mu that the factor does not divide.
 
-    Returns None when V(d, mu) is zero or lies inside factor*S.  The form is
-    a kernel basis vector of V(d, mu), or the sum of two of them; tie_break
-    "last" scans the basis from its end.
+    factor, when given, is (d_f, mu_f, f): a form f of degree d_f and
+    multiplicity mu_f.  Returns None when V(d, mu) is zero or lies inside
+    f*S.  The form is the first kernel basis vector of V(d, mu) outside f*S;
+    tie_break "last" scans the basis from its end.
 
-    A nonzero V(d, mu) always strictly contains V(d, mu + 1): its rows
-    evaluate the polynomials of degree < mu at the distinct chart points of
-    the degree-d monomials, and the Hilbert function of a finite point set
-    rises strictly until it reaches the number of points.  The multiples of
-    factor inside V(d, mu) are factor * V(d - d_f, mu - mu_f).  When both are
-    proper subspaces, some form avoids them both: a vector space over an
-    infinite field is never a union of two proper subspaces.
+    Every kernel basis vector has multiplicity exactly mu.  The rows of the
+    condition matrix evaluate the polynomials of degree < mu at the chart
+    points of the degree-d monomials, which are distinct.  The vector of a
+    free column is supported on its point and the earlier pivot points, and
+    up to scale it is the only relation among them in degree < mu.  The
+    Hilbert function of a finite point set rises strictly until it reaches
+    the number of points, so no relation among them holds in degree mu: the
+    vector has a nonzero Hasse derivative of order mu.  The multiples of f
+    inside V(d, mu) are f * V(d - d_f, mu - mu_f).
     """
     vecs, monos = slice_kernel_vectors(w, d, mu)
     if not vecs:
         return None
-    exact = nonzero_at_order(w, d, vecs, mu)
-    if not any(exact):
-        raise AssertionError(f"V({d},{mu}) does not strictly contain V({d},{mu + 1})")
     multiples = [] if factor is None else _multiple_vectors(w, factor, d, mu, monos)
     r = linalg.rank(multiples) if multiples else 0
     if r >= len(vecs):
         return None
-    pairs = list(zip(vecs, exact))
-    va = vb = None
-    for v, out_a in pairs[::-1] if tie_break == "last" else pairs:
-        out_b = not multiples or linalg.rank(multiples + [v]) > r
-        if out_a and out_b:
+    # r < len(vecs), so some basis vector lies outside the span of the multiples
+    for v in vecs[::-1] if tie_break == "last" else vecs:
+        if not multiples or linalg.rank(multiples + [v]) > r:
             return _vector_to_poly(v, monos)
-        if out_a and va is None:
-            va = v
-        if out_b and vb is None:
-            vb = v
-    # va lies among the multiples and vb in V(d, mu + 1), so their sum avoids both
-    return _vector_to_poly([x + y for x, y in zip(va, vb)], monos)
 
 
 def _multiple_vectors(w, factor, d, mu, monos):
-    """Coefficient vectors of factor * V(d - d_f, mu - mu_f) in the monomials monos.
+    """Coefficient vectors of f * V(d - d_f, mu - mu_f) in the monomials monos,
+    for factor = (d_f, mu_f, f).
 
-    Each is the integer convolution of factor with a kernel basis vector;
-    only the span of the result matters.
+    Each is the integer convolution of f with a kernel basis vector; only
+    the span of the result matters.
     """
-    mu_f = rees_multiplicity(w, factor)
-    d_f = factor.weighted_degree(w.as_tuple())
+    d_f, mu_f, f = factor
     if d < d_f:
         return []
     vecs, sub_monos = slice_kernel_vectors(w, d - d_f, max(0, mu - mu_f))
     index = {m: i for i, m in enumerate(monos)}
-    terms = [(exp, int(c)) for exp, c in factor.primitive().terms.items()]
+    terms = [(exp, int(c)) for exp, c in f.primitive().terms.items()]
     out = []
     for g in vecs:
         vec = [0] * len(monos)

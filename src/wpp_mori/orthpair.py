@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import mult
 from .poly import SparsePoly, divides
-from .weights import ClassElement, intersection
+from .weights import ClassElement, intersection, monomials_of_degree
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,46 @@ def minimal_mu(d, abc):
     return mu
 
 
+def _implied_zero(w, zeros, d):
+    """True when d lies below a degree of zeros by an element of <a, b, c>."""
+    return any(monomials_of_degree(w, z - d) for z in zeros)
+
+
 def find_f1(w, d_cap, tie_break="first"):
     """Minimal-degree form with non-positive self-intersection after blow-up.
 
-    Scans degrees d = 1..d_cap for a nonzero slice V(d, mu*(d)) where
-    mu*(d) is the least mu with d^2 <= mu^2*abc; returns (d, mu*(d),
-    witness) for the first hit, or None if the cap is exhausted.  The
-    witness has multiplicity exactly mu*(d).
+    Finds the least degree d <= d_cap with a nonzero slice V(d, mu*(d)),
+    where mu*(d) is the least mu with d^2 <= mu^2*abc, and returns (d,
+    mu*(d), witness), or None if the cap is exhausted.  The witness has
+    multiplicity exactly mu*(d).
+
+    Multiplying by a monomial of degree s is injective and keeps the
+    multiplicity at [1,1,1], where no monomial vanishes.  So V(e, mu) = 0
+    implies V(e - s, mu) = 0 for every s in the semigroup <a, b, c>.  Each
+    window of degrees with one mu*(d) is certified from its top down,
+    skipping the degrees that a zero slice implies.  Only a nonzero slice
+    sends the scan up the window again, for the least nonzero degree below it.
     """
-    for d in range(1, d_cap + 1):
+    d = 1
+    while d <= d_cap:
         mu = minimal_mu(d, w.abc)
-        witness = mult.exact_witness(w, d, mu, tie_break=tie_break)
-        if witness is not None:
-            return d, mu, witness
+        # the window's last degree is the largest e with e^2 <= mu^2*abc
+        top = min(d_cap, isqrt(mu * mu * w.abc))
+        zeros = []
+        for e in range(top, d - 1, -1):
+            if _implied_zero(w, zeros, e):
+                continue
+            witness = mult.exact_witness(w, e, mu, tie_break=tie_break)
+            if witness is None:
+                zeros.append(e)
+                continue
+            for low in range(d, e):
+                if not _implied_zero(w, zeros, low):
+                    low_witness = mult.exact_witness(w, low, mu, tie_break=tie_break)
+                    if low_witness is not None:
+                        return low, mu, low_witness
+            return e, mu, witness
+        d = top + 1
     return None
 
 
@@ -87,7 +114,7 @@ def find_f2(w, d1, mu1, f1, d_cap, tie_break="first"):
     step = q // gcd(d1, q)
     for d2 in range(step, d_cap + 1, step):
         mu2 = d1 * d2 // q
-        witness = mult.exact_witness(w, d2, mu2, factor=f1, tie_break=tie_break)
+        witness = mult.exact_witness(w, d2, mu2, factor=(d1, mu1, f1), tie_break=tie_break)
         if witness is not None:
             return d2, mu2, witness
     return None

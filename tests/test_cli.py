@@ -249,3 +249,44 @@ def test_scan_records_a_raising_triple_as_error(tmp_path, monkeypatch, capsys, w
     assert len(lines) == 8
     last = json.loads(lines[-1])
     assert (last["a"], last["b"], last["c"], last["verdict"]) == (2, 3, 5, "MoriDream")
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setenv("WPP_MORI_CACHE", str(tmp_path))
+    code, out, err = run(capsys, "scan", "--c-max", "5", "--workers", workers)
+    assert code == 2
+    assert err.startswith("error:") and "--workers" in err and out == ""
+    assert not any(tmp_path.iterdir())
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_scan_pool_is_no_larger_than_the_triples_left(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    out_file = tmp_path / "scan.jsonl"
+    triples = cli.coprime_triples(5)
+    records = cli.scan_triples(triples[:3], 5, out_file, workers=10**6)
+    assert _SerialPool.sizes == [3]
+    # one triple left runs in this process, with no pool at all
+    records = cli.scan_triples(triples[:4], 5, out_file, workers=10**6)
+    assert _SerialPool.sizes == [3]
+    assert [(r["a"], r["b"], r["c"]) for r in records] == sorted(triples[:4])
+    assert all(r["verdict"] == "MoriDream" for r in records)

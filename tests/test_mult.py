@@ -12,10 +12,10 @@ from math import comb, gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wpp_mori import linalg, mult
+from wpp_mori import mult
 from wpp_mori.poly import SparsePoly, parse_poly
 from wpp_mori.weights import WeightTriple, monomials_of_degree
 
@@ -72,10 +72,6 @@ def _poly(vec, monos):
     return SparsePoly(XYZ, {m: c for m, c in zip(monos, vec) if c})
 
 
-def _vector(f, monos):
-    return [int(f.terms.get(m, 0)) for m in monos]
-
-
 def test_symbolic_slice_basis_consistency():
     for (a, b, c) in [(2, 3, 5), (7, 3, 11)]:
         w = WeightTriple(a, b, c)
@@ -123,13 +119,33 @@ def test_chart_kernel_basis_spans_weight_zero_lattice():
         assert gcd(p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p1 * q2 - p2 * q1) == 1
 
 
-def test_binom_int():
-    assert mult.binom_int(5, 2) == 10
-    assert mult.binom_int(2, 5) == 0
-    assert mult.binom_int(-1, 3) == -1
-    assert mult.binom_int(-2, 2) == 3
-    with pytest.raises(ValueError):
-        mult.binom_int(3, -1)
+def _binom(n, k):
+    """C(n, k) for any integer n and k >= 0, by math.comb."""
+    return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(TRIPLES), st.integers(0, 40), st.integers(0, 7))
+@example((1, 2, 3), 5, 4)
+@example((7, 3, 11), 29, 3)
+def test_condition_matrix_matches_comb_reference(triple, d, mu):
+    w = WeightTriple(*triple)
+    rows, monos = mult.condition_matrix(w, d, mu)
+    uv, chart_monos = mult._chart_exponents(w, d)
+    assert monos == chart_monos == monomials_of_degree(w, d)
+    expected = [
+        [_binom(u, alpha) * _binom(v, order - alpha) for u, v in uv]
+        for order in range(mu)
+        for alpha in range(order + 1)
+    ]
+    assert rows == (expected if monos else [])
+
+
+def test_condition_matrix_examples_have_negative_chart_exponents():
+    # the explicit examples above reach C(u, k) with u < 0 in both coordinates
+    for triple, d in [((1, 2, 3), 5), ((7, 3, 11), 29)]:
+        uv, _ = mult._chart_exponents(WeightTriple(*triple), d)
+        assert min(u for u, _ in uv) < 0 and min(v for _, v in uv) < 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,7 +178,7 @@ def test_generic_exact_multiplicity():
     assert str(witness) == "x*y - z"
     assert mult.exact_witness(w, 1, 1) is None
     # V(5, 1) is spanned by x*y - z, so it has no form outside its multiples
-    assert mult.exact_witness(w, 5, 1, factor=witness) is None
+    assert mult.exact_witness(w, 5, 1, factor=(5, 1, witness)) is None
 
 
 def test_generic_exact_multiplicity_tie_breaks_agree_in_exactness():
@@ -192,27 +208,13 @@ def test_generic_exact_multiplicity_matches_oracle():
             assert oracle_multiplicity(w, witness) == mu_min
 
 
-def test_exact_witness_adds_two_basis_vectors(monkeypatch):
-    # Every echelon kernel basis vector met so far has exact multiplicity mu,
-    # so the witness is always one of them.  A basis of V(4, 1) for (1, 2, 3)
-    # whose forms of multiplicity 1 are all multiples of x, completed by
-    # (x^2 - y)^2 in V(4, 2), leaves no single member that avoids both x*S and
-    # V(4, 2); the witness must be a sum of two members.
-    w, d, mu = WeightTriple(1, 2, 3), 4, 1
-    x = parse_poly("x", XYZ)
-    low, low_monos = mult.slice_kernel_vectors(w, 3, 1)
-    (square,), monos = mult.slice_kernel_vectors(w, 4, 2)
-    multiples = [_vector(x * _poly(v, low_monos), monos) for v in low]
-    basis = multiples + [list(square)]
-    assert linalg.rank(basis) == len(basis) == mult.slice_dim(w, d, mu)
-    slice_kernel_vectors = mult.slice_kernel_vectors
-    monkeypatch.setattr(
-        mult, "slice_kernel_vectors",
-        lambda w_, d_, mu_: (basis, monos) if (d_, mu_) == (d, mu)
-        else slice_kernel_vectors(w_, d_, mu_),
-    )
-    for tie in ("first", "last"):
-        witness = mult.exact_witness(w, d, mu, factor=x, tie_break=tie)
-        assert mult.rees_multiplicity(w, witness) == mu
-        assert oracle_multiplicity(w, witness) == mu
-        assert linalg.rank(multiples + [_vector(witness, monos)]) > linalg.rank(multiples)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TRIPLES), st.integers(1, 24), st.integers(0, 5))
+def test_every_kernel_basis_vector_has_exact_multiplicity(triple, d, mu):
+    # the Hilbert-function argument of exact_witness: no echelon kernel
+    # vector of V(d, mu) lies in V(d, mu + 1)
+    w = WeightTriple(*triple)
+    vecs, monos = mult.slice_kernel_vectors(w, d, mu)
+    assume(vecs)
+    for v in vecs:
+        assert mult.rees_multiplicity(w, _poly(v, monos)) == mu

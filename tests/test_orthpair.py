@@ -13,7 +13,7 @@ from wpp_mori.orthpair import (
     minimal_mu,
 )
 from wpp_mori.poly import divides
-from wpp_mori.weights import WeightTriple
+from wpp_mori.weights import WeightTriple, coprime_triples
 
 
 def test_ceil_sqrt():
@@ -105,3 +105,34 @@ def test_tie_break_does_not_change_signature():
         last = mds_test(w, 6, tie_break="last")
         assert first.outcome == last.outcome
         assert first.pair.signature() == last.pair.signature()
+
+
+def _plain_f1(w, d_cap, tie_break):
+    """The reference f1 scan: every degree upwards, one elimination each."""
+    for d in range(1, d_cap + 1):
+        mu = minimal_mu(d, w.abc)
+        witness = mult.exact_witness(w, d, mu, tie_break=tie_break)
+        if witness is not None:
+            return d, mu, witness
+    return None
+
+
+@pytest.mark.parametrize(
+    "c_range, mu_cap, tie_breaks",
+    [((3, 13), 11, ("first", "last")), ((14, 20), 6, ("first",))],
+    ids=["c13_cap11", "c14_to_20_cap6"],
+)
+def test_find_f1_matches_the_plain_upward_scan(c_range, mu_cap, tie_breaks):
+    # windows certified from the top down find the same least degree and form;
+    # the scans that find no f1 certify every degree up to the cap
+    none_found = 0
+    for triple in coprime_triples(c_range[1]):
+        if triple[2] < c_range[0]:
+            continue
+        w = WeightTriple(*triple)
+        d_cap = mu_cap * ceil_sqrt(w.abc)
+        for tie in tie_breaks:
+            expected = _plain_f1(w, d_cap, tie)
+            assert find_f1(w, d_cap, tie) == expected, (triple, tie)
+            none_found += expected is None
+    assert none_found > 0
