@@ -11,7 +11,7 @@ from itertools import permutations
 from typing import Optional
 
 from . import groebner, mult
-from .poly import SparsePoly, divides
+from .poly import SparsePoly
 from .weights import WeightTriple, monoid_member
 
 

@@ -1,7 +1,15 @@
-"""Buchberger engine over Q: reduced bases, normal forms, saturation, dimension."""
+"""Buchberger engine over Q: reduced bases, normal forms, saturation, dimension.
 
+Inside the kernel a polynomial is an integer term dict (exponent tuple ->
+int).  Each reduction step is a nonzero rational multiple of the same step
+over Q, so remainders agree up to a scalar; `Fraction` coefficients are made
+only where a `SparsePoly` leaves the kernel.
+"""
+
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from operator import add, le
 
 from .poly import SparsePoly, block_key, grevlex_key
@@ -28,6 +36,8 @@ class GroebnerBasis:
     variables: tuple
     elements: list
     key: object = field(default=grevlex_key, repr=False)
+    # (integer terms, leading terms) of `elements`, built by the first normal_form
+    _int: tuple = field(default=None, init=False, repr=False, compare=False)
 
 
 DEFAULT_BUDGET = 10 ** 6
@@ -41,15 +51,36 @@ def _divides_exp(e1, e2):
     return all(map(le, e1, e2))
 
 
-def _reduce(f, basis, leads, key):
-    """Full normal form of f against basis, with leads[i] = (exp, coeff) of basis[i].
+def _integer_terms(p):
+    """(den, terms) with p = terms / den and every coefficient of terms an int."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
 
-    Works in place on one term dict: each step subtracts q * x^diff * basis[i]
-    term by term and pops the cancelled leading term exactly.  Order keys are
-    memoised for the length of the call.
+
+def _primitive(terms):
+    """Integer terms divided by their content, grevlex leading coefficient positive."""
+    c = math.gcd(*terms.values())
+    if terms[max(terms, key=grevlex_key)] < 0:
+        c = -c
+    return {e: v // c for e, v in terms.items()}
+
+
+def _lead(terms, key):
+    exp = max(terms, key=key)
+    return exp, terms[exp]
+
+
+def _reduce(g, basis, leads, key):
+    """Normal form of the integer term dict g (consumed) against integer basis dicts.
+
+    leads[i] = (exp, coeff) of basis[i].  Works in place on one term dict.
+    When a leading coefficient does not divide the current coefficient, the
+    pending terms and the remainder are multiplied by the least factor that
+    makes it divide.  Returns (rem, scale): rem is scale times the remainder
+    over Q.  Order keys are memoised for the length of the call.
     """
-    g = dict(f.terms)
     rem = {}
+    scale = 1
     keys = {}
 
     def order(exp):
@@ -67,9 +98,16 @@ def _reduce(f, basis, leads, key):
         else:
             rem[gexp] = gc
             continue
-        q = gc / lc
+        q, r = divmod(gc, lc)
+        if r:
+            m = abs(lc) // math.gcd(gc, lc)
+            scale *= m
+            for d in (g, rem):
+                for exp in d:
+                    d[exp] *= m
+            q = gc * m // lc
         diff = tuple(a - b for a, b in zip(gexp, lexp))
-        for exp, c in h.terms.items():
+        for exp, c in h.items():
             if exp == lexp:
                 continue
             exp = tuple(map(add, exp, diff))
@@ -78,22 +116,39 @@ def _reduce(f, basis, leads, key):
                 g[exp] = c
             else:
                 del g[exp]
-    return SparsePoly._trusted(f.variables, rem)
+    return rem, scale
 
 
 def normal_form(f, gb):
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
     if f.variables != gb.variables:
         raise ValueError("polynomial outside the basis ring")
-    leads = [g.leading(gb.key) for g in gb.elements]
-    return _reduce(f, gb.elements, leads, gb.key)
+    if gb._int is None:
+        basis = [_integer_terms(g)[1] for g in gb.elements]
+        gb._int = (basis, [_lead(p, gb.key) for p in basis])
+    den, g = _integer_terms(f)
+    rem, scale = _reduce(g, *gb._int, gb.key)
+    den *= scale
+    return SparsePoly._trusted(f.variables, {e: Fraction(c, den) for e, c in rem.items()})
 
 
 def _spoly(f, f_lead, g, g_lead, lcm):
+    """(c_g/d) x^u f - (c_f/d) x^v g with d = gcd(c_f, c_g): the leading terms cancel."""
     (ef, cf), (eg, cg) = f_lead, g_lead
-    s1 = f.mul_monomial(tuple(a - b for a, b in zip(lcm, ef)), Fraction(1) / cf)
-    s2 = g.mul_monomial(tuple(a - b for a, b in zip(lcm, eg)), Fraction(1) / cg)
-    return s1 - s2
+    d = math.gcd(cf, cg)
+    a, b = cg // d, cf // d
+    u = tuple(x - y for x, y in zip(lcm, ef))
+    v = tuple(x - y for x, y in zip(lcm, eg))
+    s = {tuple(map(add, e, u)): a * c for e, c in f.items() if e != ef}
+    for e, c in g.items():
+        if e != eg:
+            e = tuple(map(add, e, v))
+            c = s.get(e, 0) - b * c
+            if c:
+                s[e] = c
+            else:
+                del s[e]
+    return s
 
 
 def _update_pairs(lead_exps, pairs, pair_info, new_index, key):
@@ -145,11 +200,11 @@ def buchberger(
     weighted degree above the bound are discarded; for an ideal homogeneous
     in those weights, the result is a Groebner basis truncated at that degree.
     """
-    gens = [g.primitive() for g in ideal.generators if not g.is_zero()]
+    gens = [_primitive(_integer_terms(g)[1]) for g in ideal.generators if not g.is_zero()]
     if not gens:
         return GroebnerBasis(ideal.variables, [], key)
-    gens.sort(key=lambda p: key(p.leading(key)[0]))
-    basis = []
+    gens.sort(key=lambda p: key(_lead(p, key)[0]))
+    basis = []  # primitive integer term dicts
     leads = []  # (exp, coeff) of each basis element, taken once when it is added
     lead_exps = []
     pairs = set()
@@ -158,14 +213,14 @@ def buchberger(
 
     def add(p):
         basis.append(p)
-        leads.append(p.leading(key))
+        leads.append(_lead(p, key))
         lead_exps.append(leads[-1][0])
         return _update_pairs(lead_exps, pairs, pair_info, len(basis) - 1, key)
 
     for g in gens:
-        r = _reduce(g, basis, leads, key)
-        if not r.is_zero():
-            pairs = add(r.primitive())
+        r, _ = _reduce(g, basis, leads, key)
+        if r:
+            pairs = add(_primitive(r))
 
     while pairs:
         pair = min(pairs, key=lambda p: pair_info[p][0])
@@ -179,9 +234,9 @@ def buchberger(
         if steps > step_budget:
             raise StepBudgetExceeded(f"pair-reduction budget {step_budget} exhausted")
         s = _spoly(basis[i], leads[i], basis[j], leads[j], lcm)
-        r = _reduce(s, basis, leads, key)
-        if not r.is_zero():
-            pairs = add(r.primitive())
+        r, _ = _reduce(s, basis, leads, key)
+        if r:
+            pairs = add(_primitive(r))
 
     # minimalize: drop elements whose lead is divisible by another lead
     keep = []
@@ -193,15 +248,20 @@ def buchberger(
             keep.append(i)
     minimal = [basis[i] for i in keep]
     minimal_leads = [leads[i] for i in keep]
-    # inter-reduce and normalize to monic
+    # inter-reduce, then normalize to monic on the way out of the kernel
     reduced = []
     for idx, p in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
         other_leads = minimal_leads[:idx] + minimal_leads[idx + 1:]
-        r = _reduce(p, others, other_leads, key)
-        reduced.append(r.monic(key))
-    reduced.sort(key=lambda p: key(p.leading(key)[0]))
-    return GroebnerBasis(ideal.variables, reduced, key)
+        reduced.append(_primitive(_reduce(dict(p), others, other_leads, key)[0]))
+    reduced.sort(key=lambda p: key(_lead(p, key)[0]))
+    elements = []
+    for p in reduced:
+        lc = _lead(p, key)[1]
+        elements.append(
+            SparsePoly._trusted(ideal.variables, {e: Fraction(c, lc) for e, c in p.items()})
+        )
+    return GroebnerBasis(ideal.variables, elements, key)
 
 
 def ideal_member(f, gb):
@@ -271,8 +331,6 @@ def krull_dimension(ideal, step_budget=DEFAULT_BUDGET, gb=None):
     Computed as the largest number of variables supporting no leading
     monomial of a Groebner basis.
     """
-    from itertools import combinations
-
     if gb is None:
         gb = buchberger(ideal, step_budget=step_budget)
     if any(g.is_constant() and not g.is_zero() for g in gb.elements):

@@ -298,21 +298,29 @@ class SparsePoly:
             raise ZeroDivisionError("division by the zero polynomial")
         self._check_ring(f)
         lexp, lc = f.leading(key)
-        quot = SparsePoly.zero(self.variables)
-        rem = SparsePoly.zero(self.variables)
-        g = self
-        while not g.is_zero():
-            gexp, gc = g.leading(key)
+        g = dict(self.terms)
+        quot = {}
+        rem = {}
+        # one term dict, updated in place; its leading exponent strictly
+        # falls, so no quotient exponent repeats
+        while g:
+            gexp = max(g, key=key)
+            gc = g.pop(gexp)
             diff = tuple(a - b for a, b in zip(gexp, lexp))
-            if all(d >= 0 for d in diff):
-                t = SparsePoly.monomial(self.variables, diff, gc / lc)
-                quot = quot + t
-                g = g - t * f
-            else:
-                t = SparsePoly.monomial(self.variables, gexp, gc)
-                rem = rem + t
-                g = g - t
-        return quot, rem
+            if min(diff, default=0) < 0:
+                rem[gexp] = gc
+                continue
+            q = quot[diff] = gc / lc
+            for exp, c in f.terms.items():
+                if exp != lexp:
+                    exp = tuple(map(add, exp, diff))
+                    c = g.get(exp, 0) - q * c
+                    if c:
+                        g[exp] = c
+                    else:
+                        del g[exp]
+        ring = self.variables
+        return SparsePoly._trusted(ring, quot), SparsePoly._trusted(ring, rem)
 
     # -- text form --------------------------------------------------------
 

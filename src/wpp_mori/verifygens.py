@@ -8,6 +8,7 @@ dim(R_1) = dim(<B u {t}>) > dim(<B u {t,f}>), where f is the product of
 the R_1-generators not vanishing on the point.
 """
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,6 +33,16 @@ class BlowupInput:
 
     def __post_init__(self):
         self.variables = tuple(self.variables)
+        if len(self.variables) != 3 or len(set(self.variables)) != 3:
+            raise ValueError(f"need three distinct variable names, got {self.variables}")
+        for v in self.variables:
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", v):
+                raise ValueError(f"variable name {v!r} is not a name polynomials can use")
+        # the Rees ring appends s1..sk and t, so those names would clash
+        reserved = {f"s{i + 1}" for i in range(len(self.ideal_gens))} | {"t"}
+        clash = sorted(reserved.intersection(self.variables))
+        if clash:
+            raise ValueError(f"variable names {clash} are reserved for the Rees ring")
         if self.product.is_zero():
             raise ValueError("the non-vanishing product must be nonzero")
         for g in self.ideal_gens:
@@ -65,7 +76,10 @@ def parse_instance(text):
         key = key.strip()
         value = value.strip()
         if key == "weights":
-            weights = WeightTriple(*(int(p) for p in value.split()))
+            parts = value.split()
+            if len(parts) != 3:
+                raise ValueError(f"weights: needs exactly three integers, got {value!r}")
+            weights = WeightTriple(*(int(p) for p in parts))
         elif key == "vars":
             variables = tuple(value.split())
         elif key == "ideal":

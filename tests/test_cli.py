@@ -182,6 +182,21 @@ def test_verify_gens_negative_budget_exit_2(tmp_path, capsys, flag):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["weights: 3 4", "vars: x y t", "vars: x y z w", "vars: x y s1", "vars: x y 2"],
+)
+def test_verify_gens_bad_weights_or_names_exit_2(tmp_path, capsys, line):
+    lines = {"weights": "weights: 1 1 1", "ideal": "ideal: x - y", "product": "product: x"}
+    lines[line.split(":")[0]] = line
+    path = tmp_path / "inst.txt"
+    path.write_text("\n".join(lines.values()) + "\n")
+    code, out, err = run(capsys, "verify-gens", str(path))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert "verified" not in out
+
+
 def test_m0n_fixture(tmp_path, capsys):
     text = ir.files("wpp_mori").joinpath("data/m0n_n10.txt").read_text()
     path = tmp_path / "red.txt"

@@ -21,7 +21,7 @@ from wpp_mori.groebner import (
     quotient_by,
     saturate,
 )
-from wpp_mori.poly import SparsePoly, block_key, parse_poly
+from wpp_mori.poly import SparsePoly, block_key, grevlex_key, parse_poly
 from wpp_mori.weights import WeightTriple
 
 XYZ = ("x", "y", "z")
@@ -221,6 +221,50 @@ def test_normal_form_matches_sympy_reduced(ideal_f):
     nf = normal_form(f, gb)
     assert sympy.expand(to_sympy(nf, syms) - rem) == 0
     assert all(type(c) is Fraction and c != 0 for c in nf.terms.values())
+
+
+@st.composite
+def fractional_ideal_and_poly(draw):
+    """An ideal whose coefficients have denominators and whose leading coefficients
+    rarely divide one another, a polynomial, a nonzero rational and a term order."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    coeffs = st.sampled_from(
+        [Fraction(c) for c in (2, -3, 5, 7)] + [Fraction(3, 2), Fraction(-7, 4), Fraction(5, 3)]
+    )
+
+    def poly(max_size):
+        return SparsePoly(XYZ, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_size)))
+
+    gens = [poly(3) for _ in range(draw(st.integers(1, 3)))]
+    c = draw(st.sampled_from([Fraction(-1), Fraction(6), Fraction(-5, 12), Fraction(9, 7)]))
+    key = draw(st.sampled_from([grevlex_key, block_key(1)]))
+    return Ideal(XYZ, gens), poly(6), c, key
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(fractional_ideal_and_poly())
+def test_fraction_free_kernel_is_scale_invariant(case):
+    ideal, f, c, key = case
+    gb = buchberger(ideal, key=key)
+    scaled = Ideal(XYZ, [g.scale(c) for g in ideal.generators])
+    assert buchberger(scaled, key=key).elements == gb.elements
+    nf = normal_form(f, gb)
+    assert normal_form(f.scale(c), gb) == nf.scale(c)
+    # the integer form cached on gb by the calls above gives what a fresh basis gives
+    assert normal_form(f, GroebnerBasis(XYZ, list(gb.elements), key)) == nf
+    for p in gb.elements + [nf]:
+        assert all(type(v) is Fraction and v != 0 for v in p.terms.values())
+
+
+def test_normal_form_rescales_mid_reduction():
+    # Integer basis 2x - y, 3y^2 - z.  Reducing z^4 + x*y^2 + y*z puts z^4 in
+    # the remainder first; then lc 2 does not divide the x*y^2 coefficient,
+    # and after that lc 3 does not divide the y^3 coefficient, so the pending
+    # terms and the remainder are rescaled twice (scale 6).
+    gb = buchberger(I("2*x - y", "3*y^2 - z"))
+    assert [str(g) for g in gb.elements] == ["x - 1/2*y", "y^2 - 1/3*z"]
+    assert normal_form(P("z^4 + x*y^2 + y*z"), gb) == P("z^4 + 7/6*y*z")
+    assert normal_form(P("1/5*z^4 + 1/5*x*y^2"), gb) == P("1/5*z^4 + 1/30*y*z")
 
 
 def _smallest_budget(ideal, f):

@@ -148,6 +148,46 @@ def test_divide_by_property():
                 assert not all(a >= b for a, b in zip(exp, le))
 
 
+def _divide_by_reference(g, f, key=grevlex_key):
+    """Division with remainder by building `quot + t` and `g - t*f` at every step."""
+    lexp, lc = f.leading(key)
+    quot = SparsePoly.zero(g.variables)
+    rem = SparsePoly.zero(g.variables)
+    while not g.is_zero():
+        gexp, gc = g.leading(key)
+        diff = tuple(a - b for a, b in zip(gexp, lexp))
+        if all(d >= 0 for d in diff):
+            t = SparsePoly.monomial(g.variables, diff, gc / lc)
+            quot = quot + t
+            g = g - t * f
+        else:
+            t = SparsePoly.monomial(g.variables, gexp, gc)
+            rem = rem + t
+            g = g - t
+    return quot, rem
+
+
+@st.composite
+def dividend_and_divisor(draw):
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    f = SparsePoly(XYZ, draw(st.dictionaries(exps, coeffs, min_size=0, max_size=8)))
+    g = SparsePoly(XYZ, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4)))
+    # multiples of g exercise exact division; the sum, a nonzero remainder
+    if draw(st.booleans()):
+        f = f * g + draw(st.sampled_from([SparsePoly.zero(XYZ), P("x*y - 2/3*z")]))
+    return f, g, draw(st.sampled_from([grevlex_key, block_key(1)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dividend_and_divisor())
+def test_divide_by_matches_reference_loop(case):
+    f, g, key = case
+    q, r = f.divide_by(g, key)
+    assert (q, r) == _divide_by_reference(f, g, key)
+    assert all(type(c) is Fraction for c in list(q.terms.values()) + list(r.terms.values()))
+
+
 def test_divides():
     assert divides(P("x - y"), P("x^2 - y^2"))
     assert not divides(P("x - y"), P("x^2 + y^2"))

@@ -15,6 +15,7 @@ from wpp_mori.verifygens import (
     rees_multiplicities,
     verify,
 )
+from wpp_mori.weights import WeightTriple
 
 
 def fixture_text():
@@ -41,6 +42,43 @@ def test_parse_errors():
     with pytest.raises(ValueError):
         # inhomogeneous generator
         parse_instance("weights: 1 2 3\nideal: x + y\nproduct: x")
+
+
+@pytest.mark.parametrize("weights", ["3 4", "3 4 5 6", ""])
+def test_weights_need_three_integers(weights):
+    with pytest.raises(ValueError, match="three integers"):
+        parse_instance(f"weights: {weights}\nideal: x\nproduct: x*y*z")
+
+
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("x y t", "reserved"),
+        ("x y s1", "reserved"),
+        ("t s1 s2", "reserved"),
+        ("x y z w", "three distinct"),
+        ("x y", "three distinct"),
+        ("x x y", "three distinct"),
+        ("x y 2", "not a name"),
+        ("x y z^", "not a name"),
+    ],
+)
+def test_variable_names_must_not_clash_with_the_rees_ring(names, message):
+    ring = tuple(names.split())
+    a, b = ring[:2]
+    text = f"weights: 1 1 1\nvars: {names}\nideal: {a} - {b}\nideal: {a}\nproduct: {a}"
+    with pytest.raises(ValueError, match=message):
+        parse_instance(text)
+    # library callers get the same check
+    x = SparsePoly.variable(ring, a)
+    with pytest.raises(ValueError, match=message):
+        verifygens.BlowupInput(WeightTriple(1, 1, 1), ring, [x, x], x)
+
+
+def test_unreserved_names_are_accepted():
+    # with two ideal lines the Rees ring adds s1, s2 and t, so s3 is free
+    inst = parse_instance("weights: 1 1 1\nvars: u s3 w\nideal: u - s3\nideal: u - w\nproduct: u")
+    assert initial_basis(inst, rees_multiplicities(inst))[0] == ("u", "s3", "w", "s1", "s2", "t")
 
 
 def test_rees_multiplicities_fixture():
