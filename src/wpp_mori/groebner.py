@@ -159,22 +159,20 @@ def _update_pairs(lead_exps, pairs, pair_info, new_index, key):
     """
     t = new_index
     lt = lead_exps[t]
+    lcms = [_lcm_exp(lead_exps[i], lt) for i in range(t)]
     kept = set()
     for (i, j) in pairs:
         lij = pair_info[(i, j)][1]
-        if (
-            not _divides_exp(lt, lij)
-            or lij == _lcm_exp(lead_exps[i], lt)
-            or lij == _lcm_exp(lead_exps[j], lt)
-        ):
+        if not _divides_exp(lt, lij) or lij == lcms[i] or lij == lcms[j]:
             kept.add((i, j))
         else:
             del pair_info[(i, j)]
     by_lcm = {}
-    for i in range(t):
-        by_lcm.setdefault(_lcm_exp(lead_exps[i], lt), []).append(i)
+    for i, lcm in enumerate(lcms):
+        by_lcm.setdefault(lcm, []).append(i)
+    keys = {lcm: key(lcm) for lcm in by_lcm}
     minimal = []
-    for lcm in sorted(by_lcm, key=key):
+    for lcm in sorted(by_lcm, key=keys.__getitem__):
         if all(not _divides_exp(m, lcm) for m in minimal):
             minimal.append(lcm)
     for lcm in minimal:
@@ -183,7 +181,7 @@ def _update_pairs(lead_exps, pairs, pair_info, new_index, key):
         if any(lcm == tuple(map(add, lead_exps[i], lt)) for i in idxs):
             continue
         kept.add((idxs[0], t))
-        pair_info[(idxs[0], t)] = (key(lcm), lcm)
+        pair_info[(idxs[0], t)] = (keys[lcm], lcm)
     return kept
 
 

@@ -61,14 +61,19 @@ def chart_kernel_basis(w):
 
 
 def _chart_exponents(w, d):
-    """Monomials of degree d and their exponents (u, v) in the lattice chart."""
+    """Monomials of degree d and their exponents (u, v) in the lattice chart.
+
+    With the chart map's rows r and s, (u, v) = (r.m - r.m0, s.m - s.m0),
+    relative to the lexicographically least monomial m0.
+    """
     monos = monomials_of_degree(w, d)
-    chart_map, _ = _chart(w.a, w.b, w.c)
-    uv = []
-    for m in monos:
-        # exponents relative to the lexicographically least monomial
-        diff = [m[i] - monos[0][i] for i in range(3)]
-        uv.append(tuple(sum(r[i] * diff[i] for i in range(3)) for r in chart_map))
+    if not monos:
+        return [], monos
+    (r0, r1, r2), (s0, s1, s2) = _chart(w.a, w.b, w.c)[0]
+    x0, y0, z0 = monos[0]
+    u0 = r0 * x0 + r1 * y0 + r2 * z0
+    v0 = s0 * x0 + s1 * y0 + s2 * z0
+    uv = [(r0 * x + r1 * y + r2 * z - u0, s0 * x + s1 * y + s2 * z - v0) for x, y, z in monos]
     return uv, monos
 
 
@@ -114,7 +119,8 @@ def slice_kernel_vectors(w, d, mu):
     return linalg.kernel_basis(rows, len(monos)), monos
 
 
-def _vector_to_poly(vec, monos):
+def vector_to_poly(vec, monos):
+    """The primitive form with coefficient vector vec in the monomials monos."""
     return SparsePoly(XYZ, {m: c for m, c in zip(monos, vec) if c}).primitive()
 
 
@@ -156,10 +162,19 @@ def rees_multiplicity(w, f):
 def exact_witness(w, d, mu, factor=None, tie_break="first"):
     """A form of V(d, mu) of multiplicity exactly mu that the factor does not divide.
 
+    The form of `witness_vector`, or None when it finds none.
+    """
+    found = witness_vector(w, d, mu, factor, tie_break)
+    return None if found is None else vector_to_poly(*found)
+
+
+def witness_vector(w, d, mu, factor=None, tie_break="first"):
+    """(vec, monos) for a form of V(d, mu) of multiplicity exactly mu outside f*S.
+
     factor, when given, is (d_f, mu_f, f): a form f of degree d_f and
     multiplicity mu_f.  Returns None when V(d, mu) is zero or lies inside
-    f*S.  The form is the first kernel basis vector of V(d, mu) outside f*S;
-    tie_break "last" scans the basis from its end.
+    f*S.  vec is the first kernel basis vector of V(d, mu) outside f*S, in
+    the monomials monos; tie_break "last" scans the basis from its end.
 
     Every kernel basis vector has multiplicity exactly mu.  The rows of the
     condition matrix evaluate the polynomials of degree < mu at the chart
@@ -181,7 +196,7 @@ def exact_witness(w, d, mu, factor=None, tie_break="first"):
     # r < len(vecs), so some basis vector lies outside the span of the multiples
     for v in vecs[::-1] if tie_break == "last" else vecs:
         if not multiples or linalg.rank(multiples + [v]) > r:
-            return _vector_to_poly(v, monos)
+            return v, monos
 
 
 def _multiple_vectors(w, factor, d, mu, monos):

@@ -89,16 +89,18 @@ def find_f1(w, d_cap, tie_break="first"):
         for e in range(top, d - 1, -1):
             if _implied_zero(w, zeros, e):
                 continue
-            witness = mult.exact_witness(w, e, mu, tie_break=tie_break)
-            if witness is None:
+            found = mult.witness_vector(w, e, mu, tie_break=tie_break)
+            if found is None:
                 zeros.append(e)
                 continue
             for low in range(d, e):
                 if not _implied_zero(w, zeros, low):
-                    low_witness = mult.exact_witness(w, low, mu, tie_break=tie_break)
-                    if low_witness is not None:
-                        return low, mu, low_witness
-            return e, mu, witness
+                    low_found = mult.witness_vector(w, low, mu, tie_break=tie_break)
+                    if low_found is not None:
+                        e, found = low, low_found
+                        break
+            # only the slice returned gets its form built
+            return e, mu, mult.vector_to_poly(*found)
         d = top + 1
     return None
 

@@ -68,6 +68,7 @@ def parse_instance(text):
     variables = ("x", "y", "z")
     ideal_lines = []
     product_line = None
+    seen = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -75,6 +76,10 @@ def parse_instance(text):
         key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise ValueError(f"repeated {key}: section")
+        if key != "ideal":
+            seen.add(key)
         if key == "weights":
             parts = value.split()
             if len(parts) != 3:

@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the package has a caller in the package.
+"""Every public top-level function and class of the package has a caller in the
+package, and the package imports nothing outside the standard library.
 
 A public name whose only caller is its own unit test is dead weight: it has to
 be kept correct and documented but serves no command.  The few names below are
@@ -6,6 +7,7 @@ kept because an acceptance criterion or the benchmark's own tests call them.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -47,3 +49,17 @@ def test_every_public_definition_has_a_caller_in_the_package():
     ]
     # an allowed name that gains a caller leaves the list, so the list stays exact
     assert sorted(uncalled) == sorted(ALLOWED_UNCALLED)
+
+
+def test_runtime_imports_are_stdlib_only():
+    outside = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.stem}: {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

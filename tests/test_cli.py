@@ -197,6 +197,15 @@ def test_verify_gens_bad_weights_or_names_exit_2(tmp_path, capsys, line):
     assert "verified" not in out
 
 
+def test_verify_gens_repeated_section_exit_2(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    path.write_text("weights: 1 1 1\nideal: x - y\nproduct: x*y*z\nproduct: x\n")
+    code, out, err = run(capsys, "verify-gens", str(path))
+    assert code == 2
+    assert "error:" in err and "repeated product: section" in err
+    assert "verified" not in out
+
+
 def test_m0n_fixture(tmp_path, capsys):
     text = ir.files("wpp_mori").joinpath("data/m0n_n10.txt").read_text()
     path = tmp_path / "red.txt"

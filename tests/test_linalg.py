@@ -14,6 +14,8 @@ from wpp_mori import linalg, orthpair
 from wpp_mori.weights import WeightTriple
 
 BIG_PRIME = 2**61 - 1  # above 2^40: slots several words wide
+# one-word slots up to 3 columns, two-word slots from 4 columns on
+EDGE_PRIME = 2**31 - 1
 
 
 def random_matrix(rng, nrows, ncols, lo=-5, hi=5):
@@ -71,7 +73,7 @@ def tall_matrices(draw, bound=5):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(tall_matrices(), st.sampled_from([3, 7, linalg._PRIME, BIG_PRIME]))
+@given(tall_matrices(), st.sampled_from([3, 7, linalg._PRIME, EDGE_PRIME, BIG_PRIME]))
 def test_full_rank_certificate_is_rank_mod_p(mn, p):
     m, ncols = mn
     certified = linalg._full_rank_mod_p(m, ncols, p)

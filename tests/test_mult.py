@@ -119,6 +119,18 @@ def test_chart_kernel_basis_spans_weight_zero_lattice():
         assert gcd(p0 * q1 - p1 * q0, p0 * q2 - p2 * q0, p1 * q2 - p2 * q1) == 1
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(TRIPLES + [(9, 10, 13), (14, 17, 19)]), st.integers(0, 60))
+def test_chart_exponents_are_coordinates_in_the_kernel_basis(triple, d):
+    # checked against the basis alone: u*basis[0] + v*basis[1] = m - m0
+    w = WeightTriple(*triple)
+    uv, monos = mult._chart_exponents(w, d)
+    assert monos == monomials_of_degree(w, d) and len(uv) == len(monos)
+    b0, b1 = mult.chart_kernel_basis(w)
+    for (u, v), m in zip(uv, monos):
+        assert [u * x + v * y for x, y in zip(b0, b1)] == [m[i] - monos[0][i] for i in range(3)]
+
+
 def _binom(n, k):
     """C(n, k) for any integer n and k >= 0, by math.comb."""
     return comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)

@@ -75,6 +75,14 @@ def test_variable_names_must_not_clash_with_the_rees_ring(names, message):
         verifygens.BlowupInput(WeightTriple(1, 1, 1), ring, [x, x], x)
 
 
+@pytest.mark.parametrize("repeat", ["weights: 1 1 1", "vars: x y z", "product: x"])
+def test_repeated_section_is_rejected(repeat):
+    # a second weights:, vars: or product: line must not replace the first
+    text = f"weights: 1 1 1\nvars: x y z\nideal: x - y\nideal: x - z\nproduct: x*y*z\n{repeat}"
+    with pytest.raises(ValueError, match="repeated"):
+        parse_instance(text)
+
+
 def test_unreserved_names_are_accepted():
     # with two ideal lines the Rees ring adds s1, s2 and t, so s3 is free
     inst = parse_instance("weights: 1 1 1\nvars: u s3 w\nideal: u - s3\nideal: u - w\nproduct: u")
