@@ -1,16 +1,16 @@
 """Buchberger engine over Q: reduced bases, normal forms, saturation, dimension.
 
-Inside the kernel a polynomial is an integer term dict (exponent tuple ->
-int).  Each reduction step is a nonzero rational multiple of the same step
-over Q, so remainders agree up to a scalar; `Fraction` coefficients are made
-only where a `SparsePoly` leaves the kernel.
+Inside the kernel a polynomial is an integer term dict (packed monomial ->
+int), see `_Packing`.  Each reduction step is a nonzero rational multiple of
+the same step over Q, so remainders agree up to a scalar; exponent tuples and
+`Fraction` coefficients are made only where a `SparsePoly` leaves the kernel.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import add, le
+from operator import lshift, mul
 
 from .poly import SparsePoly, block_key, grevlex_key
 
@@ -31,91 +31,182 @@ class Ideal:
                 raise ValueError("generator outside the stated ring")
 
 
+def _block_spans(n, key):
+    """(start, end) of each grevlex block of the order `key` on n variables, first block first."""
+    heads = getattr(key, "blocks", None)
+    if heads is None:
+        raise ValueError(f"unsupported monomial order {key!r}: use grevlex_key or block_key")
+    spans, start = [], 0
+    for size in heads + (n,):
+        end = min(start + size, n)
+        if end > start:
+            spans.append((start, end))
+            start = end
+    return spans
+
+
 @dataclass
 class GroebnerBasis:
     variables: tuple
     elements: list
     key: object = field(default=grevlex_key, repr=False)
-    # (integer terms, leading terms) of `elements`, built by the first normal_form
+    # (packing, packed integer elements) of `elements`, built by the first normal_form
     _int: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _block_spans(len(self.variables), self.key)
 
 
 DEFAULT_BUDGET = 10 ** 6
 
 
-def _lcm_exp(e1, e2):
-    return tuple(map(max, e1, e2))
+class _Widen(Exception):
+    """A popped term reached the packing's degree limit: rerun at double width."""
 
 
-def _divides_exp(e1, e2):
-    return all(map(le, e1, e2))
+class _Packing:
+    """Monomials of one block order packed into ints, with fields of w bits.
+
+    A block of m variables x_0..x_(m-1) is the base-2^w linear form
+    deg * B^m - sum(x_i * B^i) on m + 1 digits, and the blocks are
+    concatenated with the first block most significant.  The int K of a
+    monomial is additive, K(a + b) = K(a) + K(b), and while every block
+    degree stays below 2^(w-1), K orders monomials exactly as the tuple key
+    does.  unpack(K) is the packed exponent vector P: one field per variable,
+    the degree digits zero.  On P, a divides b iff (P_b - P_a) & guard == 0,
+    and the lcm is a select by guard bits (Monagan-Pearce, CASC 2007;
+    Bachmann-Schoenemann, ISSAC 1998).
+
+    The kernel keeps every operand (input, basis and popped terms) below
+    `limit` = 2^(w-2) in each block degree, so each product of two operands
+    still compares exactly; a popped term at the limit raises _Widen.
+    """
+
+    def __init__(self, n, key, w):
+        self.w = w
+        self.limit = 1 << (w - 2)
+        self.mask = (1 << w) - 1
+        self.shifts = [0] * n  # bit offset of each variable's field
+        self.spans = []  # (start, end, bit offset of the degree digit)
+        self.sums = []  # (bit offset, field mask, digit-sum multiplier, shift, degree offset)
+        self.ones = self.top = self.high = self.guard = 0
+        digit = 0
+        for s, e in reversed(_block_spans(n, key)):
+            m = e - s
+            for i in range(s, e):
+                self.shifts[i] = (digit + i - s) * w
+                self.guard |= 1 << ((digit + i - s) * w + w - 1)
+            d = (digit + m) * w
+            self.ones |= ((1 << (m * w)) - 1) << (digit * w)
+            self.top |= self.mask << d
+            self.high |= 3 << (d + w - 2)
+            self.spans.append((s, e, d))
+            ones = sum(1 << (j * w) for j in range(m))
+            self.sums.append((digit * w, (1 << (m * w)) - 1, ones, (m - 1) * w, d))
+            digit += m + 1
+
+    def encode(self, exp):
+        k = -sum(map(lshift, exp, self.shifts))
+        for s, e, d in self.spans:
+            k += sum(exp[s:e]) << d
+        return k
+
+    def decode(self, k):
+        p = ((k + self.ones) & self.top) - k
+        return self.exponents(p)
+
+    def exponents(self, p):
+        mask = self.mask
+        return tuple([(p >> s) & mask for s in self.shifts])
+
+    def unpack(self, k):
+        """P of K, after checking that every block degree of K is below the limit."""
+        t = k + self.ones
+        if t & self.high:
+            raise _Widen
+        return (t & self.top) - k
+
+    def lcm(self, pa, pb):
+        """(K, P) of the lcm of two packed exponent vectors."""
+        sel = ((pa | self.guard) - pb) & self.guard  # guard bit set where a_i >= b_i
+        sel -= sel >> (self.w - 1)
+        p = pb ^ ((pa ^ pb) & sel)
+        k = -p
+        for off, fmask, ones, sh, d in self.sums:
+            # the block's m fields times 1 + B + ... + B^(m-1) hold its degree in digit m - 1
+            k += ((((p >> off) & fmask) * ones >> sh) & self.mask) << d
+        return k, p
 
 
-def _integer_terms(p):
-    """(den, terms) with p = terms / den and every coefficient of terms an int."""
+def _first_width(polys):
+    """A field width whose limit exceeds every total degree in polys."""
+    d = max((sum(e) for p in polys for e in p.terms), default=0)
+    return d.bit_length() + 4
+
+
+def _integer_terms(p, pk):
+    """(den, terms) with p = terms / den, terms packed by pk with int coefficients."""
     den = math.lcm(*(c.denominator for c in p.terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    encode = pk.encode
+    return den, {encode(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
 
 
 def _primitive(terms):
-    """Integer terms divided by their content, grevlex leading coefficient positive."""
+    """Integer terms divided by their content, leading coefficient positive."""
     c = math.gcd(*terms.values())
-    if terms[max(terms, key=grevlex_key)] < 0:
+    if terms[max(terms)] < 0:
         c = -c
     return {e: v // c for e, v in terms.items()}
 
 
-def _lead(terms, key):
-    exp = max(terms, key=key)
-    return exp, terms[exp]
+def _element(terms, pk):
+    """(terms, K and P of the leading monomial, leading coefficient)."""
+    k = max(terms)
+    return terms, k, pk.unpack(k), terms[k]
 
 
-def _reduce(g, basis, leads, key):
-    """Normal form of the integer term dict g (consumed) against integer basis dicts.
+def _reduce(g, basis, pk):
+    """Normal form of the packed integer term dict g (consumed) against `_element`s.
 
-    leads[i] = (exp, coeff) of basis[i].  Works in place on one term dict.
-    When a leading coefficient does not divide the current coefficient, the
-    pending terms and the remainder are multiplied by the least factor that
-    makes it divide.  Returns (rem, scale): rem is scale times the remainder
-    over Q.  Order keys are memoised for the length of the call.
+    Works in place on one term dict.  When a leading coefficient does not
+    divide the current coefficient, the pending terms and the remainder are
+    multiplied by the least factor that makes it divide.  Returns
+    (rem, scale): rem is scale times the remainder over Q.
     """
+    ones, top, high, guard = pk.ones, pk.top, pk.high, pk.guard
     rem = {}
     scale = 1
-    keys = {}
-
-    def order(exp):
-        k = keys.get(exp)
-        if k is None:
-            k = keys[exp] = key(exp)
-        return k
-
     while g:
-        gexp = max(g, key=order)
-        gc = g.pop(gexp)
-        for (lexp, lc), h in zip(leads, basis):
-            if _divides_exp(lexp, gexp):
+        k = max(g)
+        gc = g.pop(k)
+        t = k + ones
+        if t & high:
+            raise _Widen
+        p = (t & top) - k
+        for h, hk, hp, lc in basis:
+            if not (p - hp) & guard:
                 break
         else:
-            rem[gexp] = gc
+            rem[k] = gc
             continue
         q, r = divmod(gc, lc)
         if r:
             m = abs(lc) // math.gcd(gc, lc)
             scale *= m
             for d in (g, rem):
-                for exp in d:
-                    d[exp] *= m
+                for e in d:
+                    d[e] *= m
             q = gc * m // lc
-        diff = tuple(a - b for a, b in zip(gexp, lexp))
-        for exp, c in h.items():
-            if exp == lexp:
+        shift = k - hk
+        for e, c in h.items():
+            if e == hk:
                 continue
-            exp = tuple(map(add, exp, diff))
-            c = g.get(exp, 0) - q * c
+            e += shift
+            c = g.get(e, 0) - q * c
             if c:
-                g[exp] = c
+                g[e] = c
             else:
-                del g[exp]
+                del g[e]
     return rem, scale
 
 
@@ -123,26 +214,33 @@ def normal_form(f, gb):
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
     if f.variables != gb.variables:
         raise ValueError("polynomial outside the basis ring")
-    if gb._int is None:
-        basis = [_integer_terms(g)[1] for g in gb.elements]
-        gb._int = (basis, [_lead(p, gb.key) for p in basis])
-    den, g = _integer_terms(f)
-    rem, scale = _reduce(g, *gb._int, gb.key)
+    w = _first_width([f])
+    while True:
+        if gb._int is None or gb._int[0].w < w:
+            pk = _Packing(len(gb.variables), gb.key, max(w, _first_width(gb.elements)))
+            gb._int = pk, [_element(_integer_terms(h, pk)[1], pk) for h in gb.elements]
+        pk, basis = gb._int
+        den, g = _integer_terms(f, pk)
+        try:
+            rem, scale = _reduce(g, basis, pk)
+            break
+        except _Widen:
+            w = 2 * pk.w
     den *= scale
-    return SparsePoly._trusted(f.variables, {e: Fraction(c, den) for e, c in rem.items()})
+    decode = pk.decode
+    return SparsePoly._trusted(f.variables, {decode(e): Fraction(c, den) for e, c in rem.items()})
 
 
-def _spoly(f, f_lead, g, g_lead, lcm):
+def _spoly(f, g, lk):
     """(c_g/d) x^u f - (c_f/d) x^v g with d = gcd(c_f, c_g): the leading terms cancel."""
-    (ef, cf), (eg, cg) = f_lead, g_lead
+    (f, fk, _, cf), (g, gk, _, cg) = f, g
     d = math.gcd(cf, cg)
     a, b = cg // d, cf // d
-    u = tuple(x - y for x, y in zip(lcm, ef))
-    v = tuple(x - y for x, y in zip(lcm, eg))
-    s = {tuple(map(add, e, u)): a * c for e, c in f.items() if e != ef}
+    u, v = lk - fk, lk - gk
+    s = {e + u: a * c for e, c in f.items() if e != fk}
     for e, c in g.items():
-        if e != eg:
-            e = tuple(map(add, e, v))
+        if e != gk:
+            e += v
             c = s.get(e, 0) - b * c
             if c:
                 s[e] = c
@@ -151,37 +249,38 @@ def _spoly(f, f_lead, g, g_lead, lcm):
     return s
 
 
-def _update_pairs(lead_exps, pairs, pair_info, new_index, key):
-    """Gebauer-Moeller pair update on adding the polynomial at new_index.
+def _update_pairs(basis, pairs, pair_info, pk):
+    """Gebauer-Moeller pair update on adding the last element of `basis`.
 
-    `pair_info` maps each pair of `pairs` to (order key of its lcm, lcm); it
-    is updated in place to cover exactly the returned set.
+    `pair_info` maps each pair of `pairs` to (K, P) of its lcm; it is
+    updated in place to cover exactly the returned set.
     """
-    t = new_index
-    lt = lead_exps[t]
-    lcms = [_lcm_exp(lead_exps[i], lt) for i in range(t)]
+    t = len(basis) - 1
+    pt = basis[t][2]
+    guard = pk.guard
+    lcms = [pk.lcm(b[2], pt) for b in basis[:t]]
     kept = set()
-    for (i, j) in pairs:
-        lij = pair_info[(i, j)][1]
-        if not _divides_exp(lt, lij) or lij == lcms[i] or lij == lcms[j]:
-            kept.add((i, j))
+    for pair in pairs:
+        i, j = pair
+        lp = pair_info[pair][1]
+        if (lp - pt) & guard or lp == lcms[i][1] or lp == lcms[j][1]:
+            kept.add(pair)
         else:
-            del pair_info[(i, j)]
+            del pair_info[pair]
     by_lcm = {}
     for i, lcm in enumerate(lcms):
         by_lcm.setdefault(lcm, []).append(i)
-    keys = {lcm: key(lcm) for lcm in by_lcm}
     minimal = []
-    for lcm in sorted(by_lcm, key=keys.__getitem__):
-        if all(not _divides_exp(m, lcm) for m in minimal):
+    for lcm in sorted(by_lcm):
+        if all((lcm[1] - m[1]) & guard for m in minimal):
             minimal.append(lcm)
     for lcm in minimal:
         idxs = by_lcm[lcm]
         # drop the whole class if any member has coprime leads
-        if any(lcm == tuple(map(add, lead_exps[i], lt)) for i in idxs):
+        if any(lcm[1] == basis[i][2] + pt for i in idxs):
             continue
         kept.add((idxs[0], t))
-        pair_info[(idxs[0], t)] = (keys[lcm], lcm)
+        pair_info[(idxs[0], t)] = lcm
     return kept
 
 
@@ -198,68 +297,75 @@ def buchberger(
     weighted degree above the bound are discarded; for an ideal homogeneous
     in those weights, the result is a Groebner basis truncated at that degree.
     """
-    gens = [_primitive(_integer_terms(g)[1]) for g in ideal.generators if not g.is_zero()]
-    if not gens:
-        return GroebnerBasis(ideal.variables, [], key)
-    gens.sort(key=lambda p: key(_lead(p, key)[0]))
-    basis = []  # primitive integer term dicts
-    leads = []  # (exp, coeff) of each basis element, taken once when it is added
-    lead_exps = []
+    if (weighted_bound is None) != (weights is None):
+        raise ValueError("weighted_bound and weights must be given together")
+    gens = [g for g in ideal.generators if not g.is_zero()]
+    w = _first_width(gens)
+    while True:
+        pk = _Packing(len(ideal.variables), key, w)
+        try:
+            elements = _buchberger(gens, pk, step_budget, weighted_bound, weights)
+            break
+        except _Widen:
+            w *= 2
+    return GroebnerBasis(ideal.variables, [
+        SparsePoly._trusted(ideal.variables, terms) for terms in elements
+    ], key)
+
+
+def _buchberger(gens, pk, step_budget, weighted_bound, weights):
+    """Term dicts (exponent tuple -> Fraction) of the reduced basis of gens, packed by pk."""
+    gens = sorted((_primitive(_integer_terms(g, pk)[1]) for g in gens), key=max)
+    basis = []  # `_element`s, each taken once when it is added
     pairs = set()
-    pair_info = {}  # pair -> (order key of its lcm, lcm), for the pairs in `pairs`
+    pair_info = {}  # pair -> (K, P) of its lcm, for the pairs in `pairs`
     steps = 0
 
     def add(p):
-        basis.append(p)
-        leads.append(_lead(p, key))
-        lead_exps.append(leads[-1][0])
-        return _update_pairs(lead_exps, pairs, pair_info, len(basis) - 1, key)
+        basis.append(_element(p, pk))
+        return _update_pairs(basis, pairs, pair_info, pk)
 
     for g in gens:
-        r, _ = _reduce(g, basis, leads, key)
+        r, _ = _reduce(g, basis, pk)
         if r:
             pairs = add(_primitive(r))
 
     while pairs:
-        pair = min(pairs, key=lambda p: pair_info[p][0])
+        pair = min(pairs, key=pair_info.__getitem__)
         pairs.discard(pair)
         i, j = pair
-        lcm = pair_info.pop(pair)[1]
-        if weighted_bound is not None and weights is not None:
-            if sum(w * e for w, e in zip(weights, lcm)) > weighted_bound:
+        lk, lp = pair_info.pop(pair)
+        if weights is not None:
+            if sum(map(mul, weights, pk.exponents(lp))) > weighted_bound:
                 continue
         steps += 1
         if steps > step_budget:
             raise StepBudgetExceeded(f"pair-reduction budget {step_budget} exhausted")
-        s = _spoly(basis[i], leads[i], basis[j], leads[j], lcm)
-        r, _ = _reduce(s, basis, leads, key)
+        r, _ = _reduce(_spoly(basis[i], basis[j], lk), basis, pk)
         if r:
             pairs = add(_primitive(r))
 
     # minimalize: drop elements whose lead is divisible by another lead
-    keep = []
-    for i, lexp in enumerate(lead_exps):
+    guard = pk.guard
+    minimal = [
+        b for i, b in enumerate(basis)
         if not any(
-            j != i and _divides_exp(lead_exps[j], lexp) and (lead_exps[j] != lexp or j < i)
-            for j in range(len(lead_exps))
-        ):
-            keep.append(i)
-    minimal = [basis[i] for i in keep]
-    minimal_leads = [leads[i] for i in keep]
+            j != i and not (b[2] - c[2]) & guard and (c[2] != b[2] or j < i)
+            for j, c in enumerate(basis)
+        )
+    ]
     # inter-reduce, then normalize to monic on the way out of the kernel
     reduced = []
-    for idx, p in enumerate(minimal):
+    for idx, b in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1:]
-        other_leads = minimal_leads[:idx] + minimal_leads[idx + 1:]
-        reduced.append(_primitive(_reduce(dict(p), others, other_leads, key)[0]))
-    reduced.sort(key=lambda p: key(_lead(p, key)[0]))
+        reduced.append(_primitive(_reduce(dict(b[0]), others, pk)[0]))
+    reduced.sort(key=max)
+    decode = pk.decode
     elements = []
     for p in reduced:
-        lc = _lead(p, key)[1]
-        elements.append(
-            SparsePoly._trusted(ideal.variables, {e: Fraction(c, lc) for e, c in p.items()})
-        )
-    return GroebnerBasis(ideal.variables, elements, key)
+        lc = p[max(p)]
+        elements.append({decode(e): Fraction(c, lc) for e, c in p.items()})
+    return elements
 
 
 def ideal_member(f, gb):

@@ -16,12 +16,19 @@ def grevlex_key(exp):
     return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
+# Each order key states its block structure for the Groebner kernel, which
+# packs monomials by it: `blocks` holds the sizes of the leading grevlex
+# blocks, and one last grevlex block takes the remaining variables.
+grevlex_key.blocks = ()
+
+
 def block_key(head):
     """Elimination order: grevlex on the first `head` variables, then grevlex on the rest."""
 
     def key(exp):
         return (grevlex_key(exp[:head]), grevlex_key(exp[head:]))
 
+    key.blocks = (head,)
     return key
 
 

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpp_mori import coxring, groebner
+from wpp_mori import coxring, groebner, verifygens
 from wpp_mori.groebner import (
     GroebnerBasis,
     Ideal,
@@ -22,6 +22,7 @@ from wpp_mori.groebner import (
     saturate,
 )
 from wpp_mori.poly import SparsePoly, block_key, grevlex_key, parse_poly
+from wpp_mori.verifygens import BlowupInput
 from wpp_mori.weights import WeightTriple
 
 XYZ = ("x", "y", "z")
@@ -181,6 +182,15 @@ def test_weighted_truncation():
     assert normal_form(P("x^2 - y*z"), gb).is_zero()
 
 
+def test_weighted_bound_needs_weights():
+    # either one alone used to be ignored, returning an untruncated basis
+    ideal = I("x^2 - y*z", "x*z - y^6")
+    with pytest.raises(ValueError, match="together"):
+        buchberger(ideal, weighted_bound=40)
+    with pytest.raises(ValueError, match="together"):
+        buchberger(ideal, weights=(7, 3, 11))
+
+
 def test_block_order_elimination():
     # eliminating x from <x - y^2, x - z> leaves y^2 - z
     ring = ("x", "y", "z")
@@ -290,3 +300,142 @@ def test_saturation_step_counts_are_pinned(triple, f12_steps, lattice_steps):
     xyz = P("x*y*z")
     assert _smallest_budget(Ideal(XYZ, [f1, f2]), xyz) == f12_steps
     assert _smallest_budget(Ideal(XYZ, coxring.chart_binomials(w)), xyz) == lattice_steps
+
+
+@st.composite
+def packed_operands(draw):
+    """A packing of n <= 9 variables and two exponent vectors below its limit.
+
+    Block degrees and single exponents are often exactly limit - 1, so sums
+    reach 2 * limit - 2, the most a product of two kernel operands can be."""
+    n = draw(st.integers(1, 9))
+    key = draw(st.sampled_from([grevlex_key, block_key(1)]))
+    pk = groebner._Packing(n, key, draw(st.sampled_from([3, 4, 7, 12, 70])))
+    top = pk.limit - 1
+
+    def operand():
+        exp = []
+        for s, e in groebner._block_spans(n, key):
+            deg = draw(st.one_of(st.just(top), st.integers(0, top)))
+            cuts = sorted(draw(st.lists(st.sampled_from([0, deg, deg // 2]) | st.integers(0, deg),
+                                        min_size=e - s - 1, max_size=e - s - 1)))
+            exp += [b - a for a, b in zip([0] + cuts, cuts + [deg])]
+        return tuple(exp)
+
+    return pk, key, operand(), operand()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(packed_operands())
+def test_packed_codec_agrees_with_tuple_definitions(case):
+    pk, key, a, b = case
+
+    def packed(u):
+        return sum(x << s for x, s in zip(u, pk.shifts))
+
+    ab = tuple(x + y for x, y in zip(a, b))
+    lcm = tuple(map(max, a, b))
+    assert pk.encode(ab) == pk.encode(a) + pk.encode(b)
+    exps = [a, b, ab, lcm]
+    for u in exps:
+        assert pk.decode(pk.encode(u)) == u
+    for u in exps:
+        for v in exps:
+            ku, kv = pk.encode(u), pk.encode(v)
+            assert (ku < kv) == (key(u) < key(v)) and (ku == kv) == (u == v)
+            divides = not (packed(v) - packed(u)) & pk.guard
+            assert divides == all(x <= y for x, y in zip(u, v))
+    pa, pb = pk.unpack(pk.encode(a)), pk.unpack(pk.encode(b))
+    assert (pa, pb) == (packed(a), packed(b))
+    assert pk.lcm(pa, pb) == (pk.encode(lcm), packed(lcm))
+    # a sum reaching the limit in some block is refused as an operand
+    over = any(sum(ab[s:e]) >= pk.limit for s, e in groebner._block_spans(len(a), key))
+    if over:
+        with pytest.raises(groebner._Widen):
+            pk.unpack(pk.encode(ab))
+    else:
+        assert pk.unpack(pk.encode(ab)) == packed(ab)
+
+
+def sympy_ring(variables):
+    return sympy.polys.rings.ring(",".join(variables), sympy.QQ, sympy.polys.orderings.grevlex)[0]
+
+
+def to_ring(f, R):
+    return R.from_dict({e: sympy.QQ(c.numerator, c.denominator) for e, c in f.terms.items()})
+
+
+def from_ring(p, variables):
+    return SparsePoly(variables, {
+        e: Fraction(int(c.numerator), int(c.denominator)) for e, c in p.terms()
+    })
+
+
+def check_against_sympy(variables, gens, f):
+    """Our reduced basis and the normal form of f equal sympy's."""
+    R = sympy_ring(variables)
+    ref = sympy.polys.groebnertools.groebner([to_ring(g, R) for g in gens], R)
+    gb = buchberger(Ideal(variables, gens))
+    assert {g.monic() for g in gb.elements} == {from_ring(p, variables).monic() for p in ref}
+    _, rem = to_ring(f, R).div(ref)
+    assert normal_form(f, gb) == from_ring(rem, variables)
+    return gb
+
+
+def test_widening_past_the_first_width_matches_sympy():
+    # Mora's example: generators of degree 7, and z^37 - y^36*t in the reduced
+    # basis.  37 is past the first width's limit, so the run widened.
+    ring = ("x", "y", "z", "t")
+    gens = [P(t, ring) for t in ("x^7 - y*z^5*t", "x*y^5 - z^6", "x^6*z - y^6*t")]
+    first = groebner._Packing(4, grevlex_key, groebner._first_width(gens))
+    gb = check_against_sympy(ring, gens, P("z^40 + x^3*y^9*z^30 - 2*y^50*t", ring))
+    assert P("z^37 - y^36*t", ring) in gb.elements
+    assert 37 >= first.limit
+
+
+def test_input_exponent_beyond_64_bits_matches_sympy():
+    n = 2 ** 64 + 3
+    gens = [P(f"x^{n}*y - z"), P("y^2 - z")]
+    gb = check_against_sympy(XYZ, gens, P(f"x^{2 * n}*y^3 + 1/2*y*z^5"))
+    assert max(max(e) for g in gb.elements for e in g.terms) == n
+
+
+def test_block_order_widens_on_growing_tail_degrees():
+    # Reducing w^31 by w - x^31 pops w^(31-j)*x^(31j): the head degree falls
+    # while the tail degree climbs to 961, far past the first width's limit
+    # of 128, and past the 512 at which an unchecked field would overflow.
+    ring = ("w", "x", "y")
+    gb = buchberger(I("w - x^31", ring=ring), key=block_key(1))
+    assert normal_form(P("w^31 + w*y", ring), gb) == P("x^961 + x^31*y", ring)
+    gb = buchberger(I("w - x^31", "w^31 - y", ring=ring), key=block_key(1))
+    assert gb.elements == [P("x^961 - y", ring), P("w - x^31", ring)]
+
+
+def test_unsupported_order_key_is_refused():
+    def lex(exp):
+        return exp
+
+    with pytest.raises(ValueError, match="unsupported monomial order"):
+        GroebnerBasis(XYZ, [P("x - y")], lex)
+    with pytest.raises(ValueError, match="unsupported monomial order"):
+        buchberger(I("x - y"), key=lex)
+
+
+def _rees_basis(triple):
+    """Ring and B0 of the Mult2 generator guess x, y, z, f1..f4 for a triple."""
+    cls = coxring.classify(WeightTriple(*triple))
+    inst = BlowupInput(WeightTriple(*cls.reordering), XYZ, list(coxring.mult2_fs(cls)), P("x*y*z"))
+    ring, _, basis = verifygens.initial_basis(inst, verifygens.rees_multiplicities(inst))
+    return ring, basis
+
+
+@pytest.mark.parametrize("triple, steps", [((3, 4, 5), 99), ((3, 5, 7), 117)], ids=["3_4_5", "3_5_7"])
+def test_rees_quotient_step_counts_are_pinned(triple, steps):
+    # quotient_by(B0, t) runs Buchberger in the 9-variable block order of the
+    # first discovery round; the smallest budget that completes pins its pair
+    # order, including how ties between equal lcm keys are broken.
+    ring, basis = _rees_basis(triple)
+    t = SparsePoly.variable(ring, "t")
+    quotient_by(Ideal(ring, basis), t, step_budget=steps)
+    with pytest.raises(StepBudgetExceeded):
+        quotient_by(Ideal(ring, basis), t, step_budget=steps - 1)
