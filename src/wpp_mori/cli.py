@@ -110,7 +110,7 @@ def cmd_coxring(args):
                 "checks": {c.name: c.passed for c in report.checks},
             }
         )
-        return EXIT_OK
+        return EXIT_OK if report.ok else 1
     print(coxring.presentation_text(pres))
     print("verification:")
     for c in report.checks:

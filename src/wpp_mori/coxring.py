@@ -268,6 +268,33 @@ def chart_binomials(w):
     return out
 
 
+def _lattice_basis_binomials(w, f1, f2):
+    """True iff f1, f2 are binomials x^p - x^q whose exponent differences have cross product +-w.
+
+    Then the differences u, v are a Z-basis of L = {e : w.e = 0}, so
+    <f1,f2> : (xyz)^oo is the lattice ideal of L, the ideal of the point
+    [1,1,1] (Sturmfels, "Groebner Bases and Convex Polytopes", ch. 12;
+    Hosten-Sturmfels, IPCO 1995: I_L is the saturation by x1...xn of the
+    binomials of any Z-basis of L).  Proof that u, v is a Z-basis:
+    u x v = +-w != 0 makes u and v independent and orthogonal to w, so
+    Zu + Zv is a sublattice of L of full rank.  For a primitive w,
+    |u x v| = [L : Zu + Zv] * |w|, so the index is 1.  WeightTriple weights
+    are pairwise coprime, so w is primitive.
+    """
+    vecs = []
+    for f in (f1, f2):
+        if f.variables != ("x", "y", "z") or len(f.terms) != 2:
+            return False
+        (p, cp), (q, cq) = f.terms.items()
+        if cp + cq != 0 or abs(cp) != 1:
+            return False
+        vecs.append([i - j for i, j in zip(p, q)])
+    (u0, u1, u2), (v0, v1, v2) = vecs
+    cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    a, b, c = w.as_tuple()
+    return cross in ((a, b, c), (-a, -b, -c))
+
+
 def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
     """Run the mechanical checks on a constructed presentation.
 
@@ -276,6 +303,10 @@ def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
     under section substitution with t = 1; and for the Mult2 variant
     (4) the saturation identity <f1,f2> : (xyz)^oo = <f1,f2,f3> = lattice
     ideal of the point; (5) f4 lies in (I^2 : J^oo) but not in I^2.
+    In (4), when f1 and f2 are binomials of a Z-basis of the point's
+    lattice (`_lattice_basis_binomials`), <f1,f2> : (xyz)^oo is that
+    lattice ideal by theorem; otherwise the chart binomials are saturated
+    and compared.
     """
     checks = []
     wt = WeightTriple(*pres.weights)
@@ -344,11 +375,15 @@ def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
             groebner.Ideal(S, [f1, f2]), xyz, step_budget=step_budget
         )
         i123 = groebner.Ideal(S, [f1, f2, f3])
-        lattice = groebner.saturate(
-            groebner.Ideal(S, chart_binomials(wt)), xyz, step_budget=step_budget
-        )
         ok = groebner.ideal_equal(sat12, i123, step_budget=step_budget)
-        ok2 = groebner.ideal_equal(i123, lattice, step_budget=step_budget)
+        if _lattice_basis_binomials(wt, f1, f2):
+            # then sat12 is the point lattice ideal itself
+            ok2 = ok
+        else:
+            lattice = groebner.saturate(
+                groebner.Ideal(S, chart_binomials(wt)), xyz, step_budget=step_budget
+            )
+            ok2 = groebner.ideal_equal(i123, lattice, step_budget=step_budget)
         checks.append(
             CheckResult(
                 "lattice_ideal_saturation",

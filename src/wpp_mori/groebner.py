@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import lshift, mul
+from operator import itemgetter, lshift, mul
 
 from .poly import SparsePoly, block_key, grevlex_key
 
@@ -345,15 +345,14 @@ def _buchberger(gens, pk, step_budget, weighted_bound, weights):
         if r:
             pairs = add(_primitive(r))
 
-    # minimalize: drop elements whose lead is divisible by another lead
+    # minimalize: a lead is divisible only by leads not above it, so one pass
+    # in ascending order keeps each element unless a kept lead divides its
+    # lead (of equal leads the first is kept, the sort being stable)
     guard = pk.guard
-    minimal = [
-        b for i, b in enumerate(basis)
-        if not any(
-            j != i and not (b[2] - c[2]) & guard and (c[2] != b[2] or j < i)
-            for j, c in enumerate(basis)
-        )
-    ]
+    minimal = []
+    for b in sorted(basis, key=itemgetter(1)):
+        if all((b[2] - c[2]) & guard for c in minimal):
+            minimal.append(b)
     # inter-reduce, then normalize to monic on the way out of the kernel
     reduced = []
     for idx, b in enumerate(minimal):

@@ -7,7 +7,7 @@ lexicographic in the declared variable order.
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, neg
 
 
@@ -30,6 +30,22 @@ def block_key(head):
 
     key.blocks = (head,)
     return key
+
+
+def _integer_terms(p):
+    """(den, terms) with p = terms / den and int coefficients."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+
+
+def _mul_terms(f, g):
+    """Product of two term dicts (exponent tuple -> int or Fraction)."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 class SparsePoly:
@@ -143,14 +159,7 @@ class SparsePoly:
 
     def __mul__(self, other):
         self._check_ring(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return SparsePoly._trusted(
-            self.variables, {e: c for e, c in terms.items() if c}
-        )
+        return SparsePoly._trusted(self.variables, _mul_terms(self.terms, other.terms))
 
     def scale(self, c):
         c = Fraction(c)
@@ -163,6 +172,11 @@ class SparsePoly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            ((exp, c),) = self.terms.items()
+            return SparsePoly._trusted(
+                self.variables, {tuple(n * e for e in exp): c ** n}
+            )
         result = SparsePoly.constant(self.variables, 1)
         base = self
         while n:
@@ -285,17 +299,60 @@ class SparsePoly:
         return SparsePoly(variables, terms)
 
     def substitute(self, assignment):
-        """Substitute polynomials for variables; all images share one ring."""
+        """Substitute polynomials for variables; all images share one ring.
+
+        Works on integer term dicts: each image is integer terms over one
+        denominator, each power of an image is computed once per call, and
+        `Fraction` coefficients are made only for the result.
+        """
         images = [assignment[v] for v in self.variables]
+        for img in images[1:]:
+            images[0]._check_ring(img)
         ring = images[0].variables
-        result = SparsePoly.zero(ring)
+        ints = [_integer_terms(img) for img in images]
+        powers = {}  # (variable index, exponent) -> (den, integer terms)
+
+        def power(i, e):
+            if (i, e) not in powers:
+                den, terms = ints[i]
+                if len(terms) == 1:
+                    ((exp, c),) = terms.items()
+                    terms = {tuple(e * k for k in exp): c ** e}
+                elif e > 1:
+                    # square-and-multiply, reusing the powers already made
+                    half = power(i, e >> 1)[1]
+                    sq = _mul_terms(half, half)
+                    terms = _mul_terms(sq, terms) if e & 1 else sq
+                powers[i, e] = den ** e, terms
+            return powers[i, e]
+
+        den = 1
+        result = {}
         for exp, c in self.terms.items():
-            term = SparsePoly.constant(ring, c)
-            for img, e in zip(images, exp):
+            term_den = c.denominator
+            term = {(0,) * len(ring): c.numerator}
+            for i, e in enumerate(exp):
                 if e:
-                    term = term * img ** e
-            result = result + term
-        return result
+                    d, p = power(i, e)
+                    term_den *= d
+                    term = _mul_terms(term, p)
+            # bring the sum and the term over their least common denominator
+            common = lcm(den, term_den)
+            if common != den:
+                m = common // den
+                for k in result:
+                    result[k] *= m
+                den = common
+            m = common // term_den
+            for k, v in term.items():
+                v = result.get(k, 0) + m * v
+                if v:
+                    result[k] = v
+                else:
+                    del result[k]
+        return SparsePoly._trusted(
+            ring, {k: Fraction(v, den) for k, v in result.items()}
+        )
 
     # -- division ---------------------------------------------------------
 

@@ -314,3 +314,21 @@ def test_scan_pool_is_no_larger_than_the_triples_left(tmp_path, monkeypatch):
     assert _SerialPool.sizes == [3]
     assert [(r["a"], r["b"], r["c"]) for r in records] == sorted(triples[:4])
     assert all(r["verdict"] == "MoriDream" for r in records)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_coxring_failed_verification_exit_1(monkeypatch, capsys, json_flag):
+    coxring = cli.coxring
+
+    def failing(w, pres):
+        return coxring.VerificationReport([coxring.CheckResult("homogeneity", False, "broken")])
+
+    monkeypatch.setattr(cli.coxring, "verify_presentation", failing)
+    code, out, _ = run(capsys, "coxring", "7", "3", "11", *json_flag)
+    assert code == 1
+    if json_flag:
+        data = json.loads(out)
+        assert data["verified"] is False
+        assert data["checks"] == {"homogeneity": False}
+    else:
+        assert "homogeneity: FAIL (broken)" in out

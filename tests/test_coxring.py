@@ -2,7 +2,9 @@
 
 import pytest
 
-from wpp_mori import coxring, groebner, mult
+import dataclasses
+
+from wpp_mori import cli, coxring, groebner, mult
 from wpp_mori.coxring import (
     ParityError,
     chart_binomials,
@@ -13,7 +15,7 @@ from wpp_mori.coxring import (
     presentation_text,
     verify_presentation,
 )
-from wpp_mori.poly import parse_poly
+from wpp_mori.poly import SparsePoly, parse_poly
 from wpp_mori.weights import WeightTriple
 
 XYZ = ("x", "y", "z")
@@ -88,8 +90,11 @@ def test_mult2_presentation_structure():
         mult2_presentation(WeightTriple(2, 3, 7))
 
 
+MULT2_SMALL = [(7, 3, 11), (9, 5, 13), (8, 3, 13), (11, 5, 17)]
+
+
 def test_mult2_suite_small():
-    for (a, b, c) in [(7, 3, 11), (9, 5, 13), (8, 3, 13), (11, 5, 17)]:
+    for (a, b, c) in MULT2_SMALL:
         w = WeightTriple(a, b, c)
         cls = classify(w)
         assert cls.is_mult2
@@ -145,3 +150,105 @@ def test_presentation_text():
     assert "variant: Mult2" in text
     assert "relations:" in text
     assert text.count("\n") > 10
+
+
+# -- the lattice-basis certificate of the Mult2 saturation check --
+
+
+def P(text):
+    return parse_poly(text, XYZ)
+
+
+def _mult2_triples(c_max):
+    for t in cli.coprime_triples(c_max):
+        w = WeightTriple(*t)
+        if classify(w).is_mult2:
+            yield w
+
+
+def _saturation_basis(gens):
+    xyz = SparsePoly.monomial(XYZ, (1, 1, 1))
+    return groebner.buchberger(groebner.saturate(groebner.Ideal(XYZ, gens), xyz)).elements
+
+
+def test_lattice_certificate_holds_for_every_mult2_triple():
+    triples = list(_mult2_triples(40))
+    assert len(triples) == 432
+    for i, w in enumerate(triples):
+        pres = mult2_presentation(w)
+        wt = WeightTriple(*pres.weights)
+        f1, f2 = pres.sections["s1"], pres.sections["s2"]
+        assert coxring._lattice_basis_binomials(wt, f1, f2), w
+        if i % 8 == 0:
+            # the theorem behind the certificate, on a sample
+            assert _saturation_basis([f1, f2]) == _saturation_basis(chart_binomials(wt)), w
+
+
+def test_lattice_certificate_negatives():
+    w = WeightTriple(7, 3, 11)
+    f1, f2 = P("x^2 - y*z"), P("x*z - y^6")
+    assert coxring._lattice_basis_binomials(w, f1, f2)
+    assert coxring._lattice_basis_binomials(w, f2, -f1)
+    for bad in (
+        P("x^2*z^2 - y^12"),  # 2 v: a sublattice of index 2
+        P("2*x*z - 2*y^6"),
+        P("x*z - 2*y^6"),
+        P("x*z - y^6 + x*y*z"),
+        P("x*z"),
+    ):
+        assert not coxring._lattice_basis_binomials(w, f1, bad), bad
+    for wrong in (WeightTriple(7, 3, 13), WeightTriple(3, 7, 11)):
+        assert not coxring._lattice_basis_binomials(wrong, f1, f2), wrong
+
+
+def _lattice_check_by_saturation(w, f1, f2, f3):
+    """The Mult2 lattice check with both saturations computed."""
+    xyz = SparsePoly.monomial(XYZ, (1, 1, 1))
+    sat12 = groebner.saturate(groebner.Ideal(XYZ, [f1, f2]), xyz)
+    i123 = groebner.Ideal(XYZ, [f1, f2, f3])
+    lattice = groebner.saturate(groebner.Ideal(XYZ, chart_binomials(w)), xyz)
+    ok = groebner.ideal_equal(sat12, i123)
+    ok2 = groebner.ideal_equal(i123, lattice)
+    return coxring.CheckResult(
+        "lattice_ideal_saturation",
+        ok and ok2,
+        "saturating <f1,f2> by xyz yields <f1,f2,f3> = point lattice ideal"
+        if ok and ok2
+        else f"saturation identity failed (f3: {ok}, lattice: {ok2})",
+    )
+
+
+def test_corrupted_mult2_section_takes_the_saturation_fallback():
+    w = WeightTriple(7, 3, 11)
+    pres = mult2_presentation(w)
+    a, b, c = pres.weights
+    cls = classify(w)
+    sections = dict(pres.sections)
+    # exponent difference 2 v2, twice that of the genuine s2
+    sections["s2"] = SparsePoly.monomial(XYZ, (2, 0, b - cls.m)) - SparsePoly.monomial(
+        XYZ, (0, c + cls.n, 0)
+    )
+    corrupt = dataclasses.replace(pres, sections=sections)
+    f1, f2, f3 = (sections[s] for s in ("s1", "s2", "s3"))
+    assert not coxring._lattice_basis_binomials(w, f1, f2)
+    report = verify_presentation(w, corrupt)
+    assert [ch.name for ch in report.checks] == [
+        "homogeneity",
+        "rees_multiplicities",
+        "substitution_identities",
+        "lattice_ideal_saturation",
+        "f4_between_powers",
+    ]
+    assert report.checks[3] == _lattice_check_by_saturation(w, f1, f2, f3)
+    assert not report.ok
+
+
+def test_genuine_mult2_presentations_never_saturate_the_chart_binomials(monkeypatch):
+    def refuse(w):
+        raise AssertionError("chart binomials saturated")
+
+    monkeypatch.setattr(coxring, "chart_binomials", refuse)
+    for triple in MULT2_SMALL:
+        w = WeightTriple(*triple)
+        report = verify_presentation(w, mult2_presentation(w))
+        assert report.ok, (triple, [c_.detail for c_ in report.failures()])

@@ -297,3 +297,88 @@ def test_mul_monomial_rejects_bad_exponents():
         f.mul_monomial((1, -1, 0))
     with pytest.raises(ValueError):
         f.mul_monomial((1, 1))
+
+
+# -- powers and substitution against plain repeated multiplication --
+
+
+def _power_by_multiplication(f, n):
+    result = SparsePoly.constant(f.variables, 1)
+    for _ in range(n):
+        result = result * f
+    return result
+
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+
+
+def polys(ring, max_terms):
+    exps = st.tuples(*[st.integers(0, 2)] * len(ring))
+    return st.dictionaries(exps, RATIONALS, max_size=max_terms).map(
+        lambda terms: SparsePoly(ring, terms)
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(polys(XYZ, 1), polys(XYZ, 3)), st.integers(0, 5))
+def test_pow_matches_repeated_multiplication(f, n):
+    got = f ** n
+    assert got == _power_by_multiplication(f, n)
+    assert_clean(got)
+
+
+def _substitute_reference(f, assignment):
+    """Term-by-term substitution with SparsePoly arithmetic."""
+    images = [assignment[v] for v in f.variables]
+    ring = images[0].variables
+    result = SparsePoly.zero(ring)
+    for exp, c in f.terms.items():
+        term = SparsePoly.constant(ring, c)
+        for img, e in zip(images, exp):
+            if e:
+                term = term * _power_by_multiplication(img, e)
+        result = result + term
+    return result
+
+
+UV = ("u", "v")
+
+
+@st.composite
+def substitutions(draw):
+    """A polynomial in x, y, z, t and images in K[u, v]: general, single-term,
+    constant or zero, with one image often used for several variables."""
+    ring = ("x", "y", "z", "t")
+    exps = st.tuples(*[st.integers(0, 4)] * len(ring))
+    f = SparsePoly(ring, draw(st.dictionaries(exps, RATIONALS, max_size=6)))
+    image = st.one_of(
+        polys(UV, 3),
+        polys(UV, 1),
+        RATIONALS.map(lambda c: SparsePoly.constant(UV, c)),
+        st.just(SparsePoly.zero(UV)),
+    )
+    pool = draw(st.lists(image, min_size=1, max_size=4))
+    return f, {v: draw(st.sampled_from(pool)) for v in ring}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(substitutions())
+def test_substitute_matches_reference_loop(case):
+    f, assignment = case
+    got = f.substitute(assignment)
+    assert got == _substitute_reference(f, assignment)
+    assert_clean(got)
+
+
+def test_substitute_rejects_images_from_different_rings():
+    f = P("x*y - z")
+    img = {
+        "x": SparsePoly.variable(UV, "u"),
+        "y": SparsePoly.variable(UV, "v"),
+        "z": SparsePoly.variable(("u", "w"), "w"),
+    }
+    with pytest.raises(ValueError):
+        f.substitute(img)
+    # an image of a variable that f does not use must share the ring too
+    with pytest.raises(ValueError):
+        P("x*y").substitute(img)
