@@ -6,6 +6,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import __version__, coxring, groebner, m0n, orthpair, verifygens
@@ -223,19 +224,16 @@ def scan_triples(triples, mu_cap, out_path, workers=1):
     if todo:
         # more workers than triples would only start idle processes
         workers = min(workers, len(todo))
-        with out_path.open("a") as fh:
-            if workers > 1:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for rec in pool.map(_scan_one, todo, chunksize=4):
-                        fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                        fh.flush()
-                        existing[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
-            else:
-                for task in todo:
-                    rec = _scan_one(task)
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                    fh.flush()
-                    existing[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
+        # one triple left runs in this process, with no pool
+        with out_path.open("a") as fh, (
+            ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+        ) as pool:
+            for rec in (
+                map(_scan_one, todo) if pool is None else pool.map(_scan_one, todo, chunksize=4)
+            ):
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                fh.flush()
+                existing[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
     return [existing[(a, b, c, mu_cap)] for (a, b, c) in sorted(triples)]
 
 

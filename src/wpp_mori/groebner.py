@@ -371,53 +371,58 @@ def ideal_member(f, gb):
     return normal_form(f, gb).is_zero()
 
 
-def ideal_equal(i1, i2, step_budget=DEFAULT_BUDGET):
-    """Ideal equality via reduced-basis comparison under the shared grevlex order."""
-    g1 = buchberger(i1, step_budget=step_budget)
-    g2 = buchberger(i2, step_budget=step_budget)
-    return g1.elements == g2.elements
+def _eliminate_tag(ideal, f, tagged, step_budget):
+    """Tag-free elements of a reduced block-order basis, back in the ideal's ring.
 
-
-def _extend_front(p, new_var, variables):
-    return p.rename_ring((new_var,) + variables)
-
-
-def _contract(gb_elements, tag_var, variables):
-    """Keep elements free of the leading tag variable and drop it from the ring."""
-    out = []
-    mapping = {v: v for v in variables}
-    for g in gb_elements:
-        if all(exp[0] == 0 for exp in g.terms):
-            out.append(g.rename_ring(variables, mapping))
-    return out
+    A fresh tag w joins the ring in front.  `tagged(gens, f, w, one)` builds
+    the generators from the ideal's generators, f, w and 1, all lifted to
+    that ring; their reduced basis under `block_key(1)` is computed, and the
+    elements free of w are returned in the basis order.
+    """
+    tag = _fresh_name("w", ideal.variables)
+    ring = (tag,) + ideal.variables
+    gens = tagged(
+        [g.rename_ring(ring) for g in ideal.generators],
+        f.rename_ring(ring),
+        SparsePoly.variable(ring, tag),
+        SparsePoly.constant(ring, 1),
+    )
+    gb = buchberger(Ideal(ring, gens), key=block_key(1), step_budget=step_budget)
+    mapping = {v: v for v in ideal.variables}
+    return [
+        g.rename_ring(ideal.variables, mapping)
+        for g in gb.elements
+        if all(exp[0] == 0 for exp in g.terms)
+    ]
 
 
 def saturate(ideal, f, step_budget=DEFAULT_BUDGET):
-    """I : f^oo by adjoining w with 1 - w*f and eliminating w."""
+    """I : f^oo by adjoining w with 1 - w*f and eliminating w.
+
+    The generators returned are the reduced grevlex basis of I : f^oo, in
+    `buchberger`'s order, so saturate(I, f).generators equals
+    buchberger(saturate(I, f)).elements.  Proof: by the elimination theorem
+    (Cox-Little-O'Shea, "Ideals, Varieties, and Algorithms", ch. 3 section 1)
+    the tag-free elements of a Groebner basis under the block order are a
+    Groebner basis of the elimination ideal I : f^oo, for the order the
+    block order induces on tag-free monomials, which is grevlex.  They are
+    reduced with monic leads, because the whole block basis is.  A tag-free
+    monomial's packed key is its grevlex key on the remaining variables, so
+    `_buchberger`'s sort by lead gives them in `buchberger`'s order.
+    """
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
-    tag = _fresh_name("w", ideal.variables)
-    ring = (tag,) + ideal.variables
-    gens = [_extend_front(g, tag, ideal.variables) for g in ideal.generators]
-    one = SparsePoly.constant(ring, 1)
-    wf = SparsePoly.variable(ring, tag) * _extend_front(f, tag, ideal.variables)
-    gens.append(one - wf)
-    gb = buchberger(Ideal(ring, gens), key=block_key(1), step_budget=step_budget)
-    return Ideal(ideal.variables, _contract(gb.elements, tag, ideal.variables))
+    gens = _eliminate_tag(ideal, f, lambda gens, f, w, one: gens + [one - w * f], step_budget)
+    return Ideal(ideal.variables, gens)
 
 
 def quotient_by(ideal, f, step_budget=DEFAULT_BUDGET):
     """Single ideal quotient I : <f>, via tagged intersection and exact division."""
     if f.is_zero():
         raise ValueError("cannot take a quotient by zero")
-    tag = _fresh_name("w", ideal.variables)
-    ring = (tag,) + ideal.variables
-    w = SparsePoly.variable(ring, tag)
-    one = SparsePoly.constant(ring, 1)
-    gens = [w * _extend_front(g, tag, ideal.variables) for g in ideal.generators]
-    gens.append((one - w) * _extend_front(f, tag, ideal.variables))
-    gb = buchberger(Ideal(ring, gens), key=block_key(1), step_budget=step_budget)
-    inter = _contract(gb.elements, tag, ideal.variables)
+    inter = _eliminate_tag(
+        ideal, f, lambda gens, f, w, one: [w * g for g in gens] + [(one - w) * f], step_budget
+    )
     out = []
     for g in inter:
         q, r = g.divide_by(f)
@@ -428,14 +433,13 @@ def quotient_by(ideal, f, step_budget=DEFAULT_BUDGET):
     return Ideal(ideal.variables, out)
 
 
-def krull_dimension(ideal, step_budget=DEFAULT_BUDGET, gb=None):
+def krull_dimension(ideal, step_budget=DEFAULT_BUDGET):
     """Krull dimension of the quotient ring, or None for the unit ideal.
 
     Computed as the largest number of variables supporting no leading
     monomial of a Groebner basis.
     """
-    if gb is None:
-        gb = buchberger(ideal, step_budget=step_budget)
+    gb = buchberger(ideal, step_budget=step_budget)
     if any(g.is_constant() and not g.is_zero() for g in gb.elements):
         return None
     n = len(ideal.variables)

@@ -4,12 +4,11 @@ Bareiss elimination for rank and kernels, Smith normal form.
 All matrices are lists of lists of Python ints (arbitrary precision).
 No floating point anywhere.
 
-The certificate packs a row mod p into one int, one slot of k 64-bit words
-per column, the lowest column in the lowest slot.  With the default prime k
-is 1 for every matrix below 2^23 columns, and a row is packed and unpacked
-through `array("Q")` in one step; wider slots (k > 1) are packed entry by
-entry.  `array` stores words in the machine's byte order, so on a big-endian
-machine they are byte-swapped to keep the lowest column in the lowest slot.
+The certificate packs a row mod p into one int, one 64-bit word per column,
+the lowest column in the lowest word, and packs and unpacks it through
+`array("Q")` in one step.  `array` stores words in the machine's byte order,
+so on a big-endian machine they are byte-swapped to keep the lowest column in
+the lowest word.
 """
 
 import sys
@@ -17,40 +16,26 @@ from array import array
 from math import gcd
 
 # The certificate below is sound for every prime; this one is below 2^20, so
-# a packed slot is one 64-bit word for every ncols < 2^23.
+# a column fits one 64-bit word for every ncols < 2^23.
 _PRIME = 1048573
 
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _word_codec(k):
-    """(pack, unpack) between lists of slot values and ints of k-word slots.
+def _pack(xs):
+    """The int whose 64-bit words, lowest first, are the values xs."""
+    words = array("Q", xs)
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little")
 
-    pack(xs) puts xs[0] in the lowest slot; unpack(r, n) returns the n lowest
-    slots of r.  Every value must be below 2^(64k).
-    """
-    if k == 1:
-        def pack(xs):
-            words = array("Q", xs)
-            if _BIG_ENDIAN:
-                words.byteswap()
-            return int.from_bytes(words.tobytes(), "little")
 
-        def unpack(r, n):
-            words = array("Q", r.to_bytes(8 * n, "little"))
-            if _BIG_ENDIAN:
-                words.byteswap()
-            return words
-    else:
-        nb = 8 * k
-
-        def pack(xs):
-            return int.from_bytes(b"".join(x.to_bytes(nb, "little") for x in xs), "little")
-
-        def unpack(r, n):
-            raw = r.to_bytes(n * nb, "little")
-            return [int.from_bytes(raw[i:i + nb], "little") for i in range(0, len(raw), nb)]
-    return pack, unpack
+def _unpack(r, n):
+    """The n lowest 64-bit words of r."""
+    words = array("Q", r.to_bytes(8 * n, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words
 
 
 def _full_rank_mod_p(rows, ncols, p=_PRIME):
@@ -58,22 +43,21 @@ def _full_rank_mod_p(rows, ncols, p=_PRIME):
 
     The rank mod p never exceeds the rank over Q, so True proves that the
     right kernel is 0.  False proves nothing: p may divide every maximal
-    minor, or the matrix may have a kernel.
+    minor, the matrix may have a kernel, or p may be too large to certify.
 
-    Each row, reduced mod p, is packed into one int with one slot of k
-    64-bit words per column, the lowest column in the lowest slot.  A pivot
-    row is normalised once (unpacked, reduced and scaled by the inverse of
-    its pivot); every other row clears its lowest slot with one multiply-add,
-    r + (p - f) * top, and then drops that slot.  A row takes at most ncols
-    such updates, each adding less than p^2 to a slot, so every slot stays
-    below p + ncols * p^2.  k is the least number of words with
-    p + (ncols + 1) * p^2 < 2^(64k), so no slot carries into the next one.
+    Each row, reduced mod p, is packed into one int with one 64-bit word per
+    column, the lowest column in the lowest word.  A pivot row is normalised
+    once (unpacked, reduced and scaled by the inverse of its pivot); every
+    other row clears its lowest word with one multiply-add,
+    r + (p - f) * top, and then drops that word.  A row takes at most ncols
+    such updates, each adding less than p^2 to a word, so every word stays
+    below p + ncols * p^2.  When p + (ncols + 1) * p^2 reaches 2^64 a word
+    could carry into the next one, and the answer is False.
     """
-    k = ((p * p * (ncols + 1) + p).bit_length() + 63) // 64
-    pack, unpack = _word_codec(k)
-    width = 64 * k
-    mask = (1 << width) - 1
-    packed = [pack([x % p for x in row]) for row in rows]
+    if p + (ncols + 1) * p * p >= 1 << 64:
+        return False
+    mask = (1 << 64) - 1
+    packed = [_pack([x % p for x in row]) for row in rows]
     for c in range(ncols):
         i = next((i for i, r in enumerate(packed) if (r & mask) % p), None)
         if i is None:
@@ -83,8 +67,8 @@ def _full_rank_mod_p(rows, ncols, p=_PRIME):
             return True
         top = packed.pop(i)
         inv = pow(top & mask, -1, p)
-        top = pack([x * inv % p for x in unpack(top, ncols - c)])
-        packed = [(r + (p - f) * top if (f := (r & mask) % p) else r) >> width for r in packed]
+        top = _pack([x * inv % p for x in _unpack(top, ncols - c)])
+        packed = [(r + (p - f) * top if (f := (r & mask) % p) else r) >> 64 for r in packed]
     return True
 
 

@@ -159,15 +159,6 @@ def rees_multiplicity(w, f):
     return _vanishing_order(w, d, vec)
 
 
-def exact_witness(w, d, mu, factor=None, tie_break="first"):
-    """A form of V(d, mu) of multiplicity exactly mu that the factor does not divide.
-
-    The form of `witness_vector`, or None when it finds none.
-    """
-    found = witness_vector(w, d, mu, factor, tie_break)
-    return None if found is None else vector_to_poly(*found)
-
-
 def witness_vector(w, d, mu, factor=None, tie_break="first"):
     """(vec, monos) for a form of V(d, mu) of multiplicity exactly mu outside f*S.
 
@@ -184,13 +175,15 @@ def witness_vector(w, d, mu, factor=None, tie_break="first"):
     Hilbert function of a finite point set rises strictly until it reaches
     the number of points, so no relation among them holds in degree mu: the
     vector has a nonzero Hasse derivative of order mu.  The multiples of f
-    inside V(d, mu) are f * V(d - d_f, mu - mu_f).
+    inside V(d, mu) are f * V(d - d_f, mu - mu_f).  Multiplication by f is
+    injective, so the images of a kernel basis of V(d - d_f, mu - mu_f) are
+    independent: their rank is their number.
     """
     vecs, monos = slice_kernel_vectors(w, d, mu)
     if not vecs:
         return None
     multiples = [] if factor is None else _multiple_vectors(w, factor, d, mu, monos)
-    r = linalg.rank(multiples) if multiples else 0
+    r = len(multiples)
     if r >= len(vecs):
         return None
     # r < len(vecs), so some basis vector lies outside the span of the multiples
@@ -203,8 +196,8 @@ def _multiple_vectors(w, factor, d, mu, monos):
     """Coefficient vectors of f * V(d - d_f, mu - mu_f) in the monomials monos,
     for factor = (d_f, mu_f, f).
 
-    Each is the integer convolution of f with a kernel basis vector; only
-    the span of the result matters.
+    Each is the integer convolution of f with a kernel basis vector, so they
+    are independent.
     """
     d_f, mu_f, f = factor
     if d < d_f:

@@ -116,9 +116,9 @@ def find_f2(w, d1, mu1, f1, d_cap, tie_break="first"):
     step = q // gcd(d1, q)
     for d2 in range(step, d_cap + 1, step):
         mu2 = d1 * d2 // q
-        witness = mult.exact_witness(w, d2, mu2, factor=(d1, mu1, f1), tie_break=tie_break)
-        if witness is not None:
-            return d2, mu2, witness
+        found = mult.witness_vector(w, d2, mu2, factor=(d1, mu1, f1), tie_break=tie_break)
+        if found is not None:
+            return d2, mu2, mult.vector_to_poly(*found)
     return None
 
 

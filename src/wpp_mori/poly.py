@@ -186,19 +186,6 @@ class SparsePoly:
             n >>= 1
         return result
 
-    def mul_monomial(self, exp, coeff=1):
-        """coeff * x^exp * self, for a nonnegative exponent tuple of the ring."""
-        exp = tuple(exp)
-        if len(exp) != len(self.variables) or any(e < 0 for e in exp):
-            raise ValueError(f"bad exponent tuple {exp} for {self.variables}")
-        c = Fraction(coeff)
-        if not c:
-            return SparsePoly._trusted(self.variables, {})
-        return SparsePoly._trusted(
-            self.variables,
-            {tuple(map(add, e, exp)): v * c for e, v in self.terms.items()},
-        )
-
     # -- structure --------------------------------------------------------
 
     def leading(self, key=grevlex_key):
@@ -226,11 +213,6 @@ class SparsePoly:
         if scaled.leading()[1] < 0:
             scaled = -scaled
         return scaled
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def weighted_degree(self, weights):
         """Common weighted degree of all terms, or None if inhomogeneous.

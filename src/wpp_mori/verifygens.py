@@ -140,14 +140,11 @@ def _degree_map(instance, mults, ring, s_names):
     return dm
 
 
-def discover_saturation_element(
-    B, t_name, degree_map=None, step_budget=groebner.DEFAULT_BUDGET
-):
+def discover_saturation_element(B, t_name, degree_map, step_budget=groebner.DEFAULT_BUDGET):
     """One element of (<B> : t) outside <B>, or None at the fixed point.
 
     Candidates come from a single ideal quotient; the returned element has
-    minimal Z^2-degree (when a degree map is given), with the term order
-    breaking ties.
+    minimal Z^2-degree under `degree_map`, with the term order breaking ties.
     """
     t_poly = SparsePoly.variable(B.variables, t_name)
     quotient = groebner.quotient_by(B, t_poly, step_budget=step_budget)
@@ -161,11 +158,8 @@ def discover_saturation_element(
         return None
 
     def sort_key(p):
-        if degree_map is not None:
-            deg = p.multi_degree(degree_map)
-            head = deg if deg is not None else (10 ** 9, 10 ** 9)
-        else:
-            head = (p.total_degree(), 0)
+        deg = p.multi_degree(degree_map)
+        head = deg if deg is not None else (10 ** 9, 10 ** 9)
         return (head, grevlex_key(p.leading()[0]))
 
     return min(candidates, key=sort_key)

@@ -201,14 +201,19 @@ def test_lattice_certificate_negatives():
         assert not coxring._lattice_basis_binomials(wrong, f1, f2), wrong
 
 
+def _same_ideal(i1, i2):
+    """Ideal equality by comparing reduced grevlex bases, each computed afresh."""
+    return groebner.buchberger(i1).elements == groebner.buchberger(i2).elements
+
+
 def _lattice_check_by_saturation(w, f1, f2, f3):
-    """The Mult2 lattice check with both saturations computed."""
+    """The Mult2 lattice check with both saturations computed and every basis recomputed."""
     xyz = SparsePoly.monomial(XYZ, (1, 1, 1))
     sat12 = groebner.saturate(groebner.Ideal(XYZ, [f1, f2]), xyz)
     i123 = groebner.Ideal(XYZ, [f1, f2, f3])
     lattice = groebner.saturate(groebner.Ideal(XYZ, chart_binomials(w)), xyz)
-    ok = groebner.ideal_equal(sat12, i123)
-    ok2 = groebner.ideal_equal(i123, lattice)
+    ok = _same_ideal(sat12, i123)
+    ok2 = _same_ideal(i123, lattice)
     return coxring.CheckResult(
         "lattice_ideal_saturation",
         ok and ok2,
@@ -241,6 +246,11 @@ def test_corrupted_mult2_section_takes_the_saturation_fallback():
     ]
     assert report.checks[3] == _lattice_check_by_saturation(w, f1, f2, f3)
     assert not report.ok
+    # the report compares each saturation's generators with <f1,f2,f3>'s basis
+    xyz = SparsePoly.monomial(XYZ, (1, 1, 1))
+    for gens in ([f1, f2], chart_binomials(w)):
+        sat = groebner.saturate(groebner.Ideal(XYZ, gens), xyz)
+        assert sat.generators == groebner.buchberger(sat).elements
 
 
 def test_genuine_mult2_presentations_never_saturate_the_chart_binomials(monkeypatch):

@@ -13,8 +13,8 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from wpp_mori import linalg, orthpair
 from wpp_mori.weights import WeightTriple
 
-BIG_PRIME = 2**61 - 1  # above 2^40: slots several words wide
-# one-word slots up to 3 columns, two-word slots from 4 columns on
+BIG_PRIME = 2**61 - 1  # p^2 above 2^64: the certificate always refuses
+# one-word slots up to 3 columns; from 4 columns on the certificate refuses
 EDGE_PRIME = 2**31 - 1
 
 
@@ -77,12 +77,12 @@ def tall_matrices(draw, bound=5):
 def test_full_rank_certificate_is_rank_mod_p(mn, p):
     m, ncols = mn
     certified = linalg._full_rank_mod_p(m, ncols, p)
-    assert certified == (rank_mod(m, ncols, p) == ncols)
+    fits_one_word = p + (ncols + 1) * p * p < 2**64
+    assert certified == (fits_one_word and rank_mod(m, ncols, p) == ncols)
     if certified:
         assert sympy.Matrix(m).rank() == ncols
-    if p == BIG_PRIME:
-        # |entries| <= 5 and at most 5 columns: every minor is below 2^40
-        assert certified == (linalg.rank(m) == ncols)
+    if p == BIG_PRIME or (p == EDGE_PRIME and ncols >= 4):
+        assert not fits_one_word and not certified
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -182,21 +182,27 @@ def test_rees_multiplicity_matches_oracle_on_random_forms(data):
     assert mult.rees_multiplicity(w, f) == oracle_multiplicity(w, f)
 
 
+def _witness(w, d, mu, factor=None, tie_break="first"):
+    """The form of `witness_vector`, or None."""
+    found = mult.witness_vector(w, d, mu, factor, tie_break)
+    return None if found is None else mult.vector_to_poly(*found)
+
+
 def test_generic_exact_multiplicity():
     # the generic member of a nonzero V(d, mu) has multiplicity exactly mu
     w = WeightTriple(2, 3, 5)
-    witness = mult.exact_witness(w, 5, 1)
+    witness = _witness(w, 5, 1)
     assert mult.rees_multiplicity(w, witness) == 1
     assert str(witness) == "x*y - z"
-    assert mult.exact_witness(w, 1, 1) is None
+    assert _witness(w, 1, 1) is None
     # V(5, 1) is spanned by x*y - z, so it has no form outside its multiples
-    assert mult.exact_witness(w, 5, 1, factor=(5, 1, witness)) is None
+    assert _witness(w, 5, 1, factor=(5, 1, witness)) is None
 
 
 def test_generic_exact_multiplicity_tie_breaks_agree_in_exactness():
     w = WeightTriple(7, 3, 11)
     for tie in ("first", "last"):
-        witness = mult.exact_witness(w, 14, 1, tie_break=tie)
+        witness = _witness(w, 14, 1, tie_break=tie)
         assert mult.rees_multiplicity(w, witness) == 1
 
 
@@ -215,7 +221,7 @@ def test_generic_exact_multiplicity_matches_oracle():
             mu_oracle += 1
         assert mu_oracle == mu_min, (w.as_tuple(), d, mu_min)
         for tie in ("first", "last"):
-            witness = mult.exact_witness(w, d, mu_min, tie_break=tie)
+            witness = _witness(w, d, mu_min, tie_break=tie)
             assert mult.rees_multiplicity(w, witness) == mu_min, (w.as_tuple(), d, mu_min)
             assert oracle_multiplicity(w, witness) == mu_min
 
@@ -223,7 +229,7 @@ def test_generic_exact_multiplicity_matches_oracle():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(TRIPLES), st.integers(1, 24), st.integers(0, 5))
 def test_every_kernel_basis_vector_has_exact_multiplicity(triple, d, mu):
-    # the Hilbert-function argument of exact_witness: no echelon kernel
+    # the Hilbert-function argument of witness_vector: no echelon kernel
     # vector of V(d, mu) lies in V(d, mu + 1)
     w = WeightTriple(*triple)
     vecs, monos = mult.slice_kernel_vectors(w, d, mu)

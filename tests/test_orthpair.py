@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from wpp_mori import mult, orthpair
+from wpp_mori import linalg, mult, orthpair
 from wpp_mori.orthpair import (
     ceil_sqrt,
     check_pair,
@@ -107,13 +107,31 @@ def test_tie_break_does_not_change_signature():
         assert first.pair.signature() == last.pair.signature()
 
 
+def test_multiples_of_f1_are_independent(monkeypatch):
+    # witness_vector takes the number of f1's multiples for their rank
+    sizes = []
+    real = mult._multiple_vectors
+
+    def record(*args):
+        out = real(*args)
+        if out:
+            sizes.append((linalg.rank(out), len(out)))
+        return out
+
+    monkeypatch.setattr(mult, "_multiple_vectors", record)
+    for triple in coprime_triples(13):
+        mds_test(WeightTriple(*triple), 11)
+    assert len(sizes) == 70
+    assert all(r == n for r, n in sizes)
+
+
 def _plain_f1(w, d_cap, tie_break):
     """The reference f1 scan: every degree upwards, one elimination each."""
     for d in range(1, d_cap + 1):
         mu = minimal_mu(d, w.abc)
-        witness = mult.exact_witness(w, d, mu, tie_break=tie_break)
-        if witness is not None:
-            return d, mu, witness
+        found = mult.witness_vector(w, d, mu, tie_break=tie_break)
+        if found is not None:
+            return d, mu, mult.vector_to_poly(*found)
     return None
 
 

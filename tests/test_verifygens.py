@@ -115,12 +115,13 @@ def test_initial_basis_shape():
 
 def test_discover_trivial_cases():
     ring = ("x", "t")
+    degree_map = {"x": (1, 0), "t": (0, 1)}
     tx = parse_poly("t*x", ring)
-    found = discover_saturation_element(Ideal(ring, [tx]), "t")
+    found = discover_saturation_element(Ideal(ring, [tx]), "t", degree_map)
     assert str(found) == "x"
     # a t-saturated ideal is a fixed point
     x = parse_poly("x", ring)
-    assert discover_saturation_element(Ideal(ring, [x]), "t") is None
+    assert discover_saturation_element(Ideal(ring, [x]), "t", degree_map) is None
 
 
 def test_verify_fixture_golden():
