@@ -176,8 +176,8 @@ def load_records(path):
     last line is dropped, so its triple is recomputed, and cut from the file,
     so the next record starts on a line of its own; a complete last record
     without its newline gets one.  An unparsable line anywhere else is an
-    InputError.  Error records count as missing, so their triples are
-    recomputed.
+    InputError, and so is a parsable line that is not a record.  Error
+    records count as missing, so their triples are recomputed.
     """
     records = {}
     if not path.exists():
@@ -196,8 +196,11 @@ def load_records(path):
         except ValueError:
             partial = (n, start)
             continue
-        if rec["verdict"] != "Error":
-            records[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
+        try:
+            if rec["verdict"] != "Error":
+                records[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec
+        except (KeyError, TypeError):
+            raise InputError(f"{path}: line {n}: not a scan record") from None
     if partial is not None:
         with path.open("r+b") as fh:
             fh.truncate(partial[1])
@@ -214,18 +217,22 @@ def scan_triples(triples, mu_cap, out_path, workers=1):
     Returns all records for the requested triples, in sorted triple order.
     """
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    existing = load_records(out_path)
-    todo = [
-        (a, b, c, mu_cap)
-        for (a, b, c) in triples
-        if (a, b, c, mu_cap) not in existing
-    ]
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        existing = load_records(out_path)
+        todo = [
+            (a, b, c, mu_cap)
+            for (a, b, c) in triples
+            if (a, b, c, mu_cap) not in existing
+        ]
+        out = out_path.open("a") if todo else None
+    except OSError as e:
+        raise InputError(f"{out_path}: cannot hold scan records ({e.filename}: {e.strerror})") from e
     if todo:
         # more workers than triples would only start idle processes
         workers = min(workers, len(todo))
         # one triple left runs in this process, with no pool
-        with out_path.open("a") as fh, (
+        with out as fh, (
             ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
         ) as pool:
             for rec in (

@@ -56,6 +56,25 @@ class GroebnerBasis:
     def __post_init__(self):
         _block_spans(len(self.variables), self.key)
 
+    def dimension(self):
+        """Krull dimension of the quotient ring by the basis's ideal, or None for the unit ideal.
+
+        The largest number of variables supporting no leading monomial.
+        """
+        if any(g.is_constant() and not g.is_zero() for g in self.elements):
+            return None
+        n = len(self.variables)
+        supports = [
+            frozenset(i for i, e in enumerate(g.leading(self.key)[0]) if e)
+            for g in self.elements
+        ]
+        for size in range(n, -1, -1):
+            for subset in combinations(range(n), size):
+                sset = set(subset)
+                if all(not s <= sset for s in supports):
+                    return size
+        return 0
+
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -290,21 +309,36 @@ def buchberger(
     step_budget=DEFAULT_BUDGET,
     weighted_bound=None,
     weights=None,
+    start=None,
 ):
     """Reduced Groebner basis of the ideal under the given monomial order.
 
     With `weighted_bound` and per-variable `weights`, S-pairs whose lcm has
     weighted degree above the bound are discarded; for an ideal homogeneous
     in those weights, the result is a Groebner basis truncated at that degree.
+
+    With `start`, a complete reduced basis under `key` in the ideal's ring,
+    the result is the reduced basis of the ideal generated by start and the
+    ideal's generators.  The run starts from start's elements with no
+    pending S-pairs, since every S-pair of a Groebner basis reduces to 0
+    (Gebauer-Moeller, "On an installation of Buchberger's algorithm",
+    J. Symbolic Comput. 6, 1988), so only the new generators are reduced and
+    `step_budget` counts only the pairs they bring.  A reduced basis is
+    unique, so the result equals the basis computed from all the generators.
     """
     if (weighted_bound is None) != (weights is None):
         raise ValueError("weighted_bound and weights must be given together")
+    base = []
+    if start is not None:
+        if start.variables != ideal.variables or start.key is not key:
+            raise ValueError("start basis in another ring or under another order")
+        base = start.elements
     gens = [g for g in ideal.generators if not g.is_zero()]
-    w = _first_width(gens)
+    w = _first_width(base + gens)
     while True:
         pk = _Packing(len(ideal.variables), key, w)
         try:
-            elements = _buchberger(gens, pk, step_budget, weighted_bound, weights)
+            elements = _buchberger(base, gens, pk, step_budget, weighted_bound, weights)
             break
         except _Widen:
             w *= 2
@@ -313,10 +347,15 @@ def buchberger(
     ], key)
 
 
-def _buchberger(gens, pk, step_budget, weighted_bound, weights):
-    """Term dicts (exponent tuple -> Fraction) of the reduced basis of gens, packed by pk."""
+def _buchberger(base, gens, pk, step_budget, weighted_bound, weights):
+    """Term dicts (exponent tuple -> Fraction) of the reduced basis of base + gens, packed by pk.
+
+    `base` is a reduced basis (or empty), taken with no pending pairs; the
+    sorted gens are then reduced and added one by one.
+    """
     gens = sorted((_primitive(_integer_terms(g, pk)[1]) for g in gens), key=max)
-    basis = []  # `_element`s, each taken once when it is added
+    # `_element`s, each taken once when it is added
+    basis = [_element(_primitive(_integer_terms(g, pk)[1]), pk) for g in base]
     pairs = set()
     pair_info = {}  # pair -> (K, P) of its lcm, for the pairs in `pairs`
     steps = 0
@@ -371,13 +410,11 @@ def ideal_member(f, gb):
     return normal_form(f, gb).is_zero()
 
 
-def _eliminate_tag(ideal, f, tagged, step_budget):
-    """Tag-free elements of a reduced block-order basis, back in the ideal's ring.
+def _tagged_basis(ideal, f, tagged, step_budget):
+    """Reduced `block_key(1)` basis of tagged generators, with a fresh tag w in front.
 
-    A fresh tag w joins the ring in front.  `tagged(gens, f, w, one)` builds
-    the generators from the ideal's generators, f, w and 1, all lifted to
-    that ring; their reduced basis under `block_key(1)` is computed, and the
-    elements free of w are returned in the basis order.
+    `tagged(gens, f, w, one)` builds the generators from the ideal's
+    generators, f, w and 1, all lifted to the ring (w,) + ideal.variables.
     """
     tag = _fresh_name("w", ideal.variables)
     ring = (tag,) + ideal.variables
@@ -387,10 +424,14 @@ def _eliminate_tag(ideal, f, tagged, step_budget):
         SparsePoly.variable(ring, tag),
         SparsePoly.constant(ring, 1),
     )
-    gb = buchberger(Ideal(ring, gens), key=block_key(1), step_budget=step_budget)
-    mapping = {v: v for v in ideal.variables}
+    return buchberger(Ideal(ring, gens), key=block_key(1), step_budget=step_budget)
+
+
+def _tag_free(gb, variables):
+    """Elements of a tagged basis free of the tag, in the basis order, back in `variables`."""
+    mapping = {v: v for v in variables}
     return [
-        g.rename_ring(ideal.variables, mapping)
+        g.rename_ring(variables, mapping)
         for g in gb.elements
         if all(exp[0] == 0 for exp in g.terms)
     ]
@@ -412,47 +453,64 @@ def saturate(ideal, f, step_budget=DEFAULT_BUDGET):
     """
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
-    gens = _eliminate_tag(ideal, f, lambda gens, f, w, one: gens + [one - w * f], step_budget)
-    return Ideal(ideal.variables, gens)
+    gb = _tagged_basis(ideal, f, lambda gens, f, w, one: gens + [one - w * f], step_budget)
+    return Ideal(ideal.variables, _tag_free(gb, ideal.variables))
 
 
-def quotient_by(ideal, f, step_budget=DEFAULT_BUDGET):
-    """Single ideal quotient I : <f>, via tagged intersection and exact division."""
-    if f.is_zero():
-        raise ValueError("cannot take a quotient by zero")
-    inter = _eliminate_tag(
-        ideal, f, lambda gens, f, w, one: [w * g for g in gens] + [(one - w) * f], step_budget
-    )
+@dataclass
+class Quotient(Ideal):
+    """I : <f>, with the reduced block basis of <w*I, (1 - w)*f> it was read from.
+
+    The tag-free part of that basis generates the intersection of I and <f>
+    (elimination theorem); each of its elements divided by f is a generator
+    of I : <f>.
+    """
+
+    divisor: SparsePoly = field(repr=False)
+    tagged: GroebnerBasis = field(repr=False, compare=False)
+
+    def extend(self, gens, step_budget=DEFAULT_BUDGET):
+        """(I + <gens>) : <f>, extending the tagged basis by w*g for each g in gens."""
+        ring = self.tagged.variables
+        w = SparsePoly.variable(ring, ring[0])
+        tagged = buchberger(
+            Ideal(ring, [w * g.rename_ring(ring) for g in gens]),
+            key=self.tagged.key,
+            step_budget=step_budget,
+            start=self.tagged,
+        )
+        return _quotient(tagged, self.divisor, self.variables)
+
+
+def _quotient(tagged, f, variables):
+    """The `Quotient` read off a tagged basis: its tag-free elements divided by f."""
     out = []
-    for g in inter:
+    for g in _tag_free(tagged, variables):
         q, r = g.divide_by(f)
         if not r.is_zero():
             raise AssertionError("intersection element not divisible by f")
         if not q.is_zero():
             out.append(q.primitive())
-    return Ideal(ideal.variables, out)
+    return Quotient(variables, out, f, tagged)
+
+
+def quotient_by(ideal, f, step_budget=DEFAULT_BUDGET):
+    """Single ideal quotient I : <f>, via tagged intersection and exact division.
+
+    The returned `Quotient` extends to (I + <gens>) : <f> without recomputing
+    the intersection from scratch.
+    """
+    if f.is_zero():
+        raise ValueError("cannot take a quotient by zero")
+    tagged = _tagged_basis(
+        ideal, f, lambda gens, f, w, one: [w * g for g in gens] + [(one - w) * f], step_budget
+    )
+    return _quotient(tagged, f, ideal.variables)
 
 
 def krull_dimension(ideal, step_budget=DEFAULT_BUDGET):
-    """Krull dimension of the quotient ring, or None for the unit ideal.
-
-    Computed as the largest number of variables supporting no leading
-    monomial of a Groebner basis.
-    """
-    gb = buchberger(ideal, step_budget=step_budget)
-    if any(g.is_constant() and not g.is_zero() for g in gb.elements):
-        return None
-    n = len(ideal.variables)
-    supports = [
-        frozenset(i for i, e in enumerate(g.leading(gb.key)[0]) if e)
-        for g in gb.elements
-    ]
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
-            sset = set(subset)
-            if all(not s <= sset for s in supports):
-                return size
-    return 0
+    """Krull dimension of the quotient ring, or None for the unit ideal."""
+    return buchberger(ideal, step_budget=step_budget).dimension()
 
 
 def _fresh_name(stem, variables):

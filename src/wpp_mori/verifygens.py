@@ -140,15 +140,14 @@ def _degree_map(instance, mults, ring, s_names):
     return dm
 
 
-def discover_saturation_element(B, t_name, degree_map, step_budget=groebner.DEFAULT_BUDGET):
+def discover_saturation_element(quotient, gb, degree_map):
     """One element of (<B> : t) outside <B>, or None at the fixed point.
 
-    Candidates come from a single ideal quotient; the returned element has
-    minimal Z^2-degree under `degree_map`, with the term order breaking ties.
+    `quotient` is <B> : t and `gb` the reduced basis of <B>.  The candidates
+    are the nonzero normal forms of the quotient's generators; the returned
+    element has minimal Z^2-degree under `degree_map`, with the term order
+    breaking ties.
     """
-    t_poly = SparsePoly.variable(B.variables, t_name)
-    quotient = groebner.quotient_by(B, t_poly, step_budget=step_budget)
-    gb = groebner.buchberger(B, step_budget=step_budget)
     candidates = []
     for g in quotient.generators:
         r = groebner.normal_form(g, gb)
@@ -172,6 +171,15 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
     dim(R_1) = dim(<B u {t}>) > dim(<B u {t,f}>); reaching the saturation
     fixed point without meeting it is a definitive negative; running out of
     discovery iterations raises DiscoveryBudgetExceeded.
+
+    Each round adds one element to B, so three reduced bases are carried
+    from round to round and extended by it: those of <B> (for the normal
+    forms) and <B u {t}> (for dim(<B u {t}>)), and the tagged basis behind
+    <B> : t.  dim(<B u {t,f}>) is computed afresh, and only when
+    dim(<B u {t}>) = dim(R_1), the one case in which the condition can hold,
+    or at the fixed point, whose certificate records it.  `step_budget`
+    bounds the S-pair reductions of each Groebner computation; an extended
+    basis counts only the pairs its new generator adds.
     """
     mults = rees_multiplicities(instance)
     warnings = []
@@ -185,23 +193,33 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
     f_poly = instance.product.rename_ring(ring, mapping)
     dim_r1 = len(instance.variables)
     trace = []
+
+    def dim_tf():
+        return groebner.krull_dimension(Ideal(ring, basis + [t_poly, f_poly]), step_budget=step_budget)
+
+    def extend(gb, gens):
+        return groebner.buchberger(Ideal(ring, gens), step_budget=step_budget, start=gb)
+
+    gb = groebner.buchberger(Ideal(ring, basis), step_budget=step_budget)
+    gb_t = extend(gb, [t_poly])
+    quotient = groebner.quotient_by(Ideal(ring, basis), t_poly, step_budget)
     for _ in range(discovery_budget + 1):
-        with_t = Ideal(ring, basis + [t_poly])
-        dim_t = groebner.krull_dimension(with_t, step_budget=step_budget)
-        with_tf = Ideal(ring, basis + [t_poly, f_poly])
-        dim_tf = groebner.krull_dimension(with_tf, step_budget=step_budget)
-        dim_tf_cmp = -1 if dim_tf is None else dim_tf
-        if dim_t == dim_r1 and dim_t > dim_tf_cmp:
-            return Certificate(
-                True, (dim_r1, dim_t, dim_tf), list(basis), trace, mults, warnings
-            )
-        new = discover_saturation_element(
-            Ideal(ring, basis), "t", degree_map, step_budget
-        )
+        if trace:
+            added = trace[-1:]
+            gb = extend(gb, added)
+            gb_t = extend(gb_t, added)
+            quotient = quotient.extend(added, step_budget)
+        dim_t = gb_t.dimension()
+        dims = None
+        if dim_t == dim_r1:
+            dims = (dim_r1, dim_t, dim_tf())
+            if dims[2] is None or dim_t > dims[2]:
+                return Certificate(True, dims, list(basis), trace, mults, warnings)
+        new = discover_saturation_element(quotient, gb, degree_map)
         if new is None:
-            return Certificate(
-                False, (dim_r1, dim_t, dim_tf), list(basis), trace, mults, warnings
-            )
+            if dims is None:
+                dims = (dim_r1, dim_t, dim_tf())
+            return Certificate(False, dims, list(basis), trace, mults, warnings)
         basis.append(new)
         trace.append(new)
     raise DiscoveryBudgetExceeded(

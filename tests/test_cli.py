@@ -130,6 +130,36 @@ def test_scan_cache_env(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "scan_c3_mu5.jsonl").exists()
 
 
+@pytest.mark.parametrize("where", ["a directory", "under a file"])
+def test_scan_out_that_cannot_hold_records_exit_2(tmp_path, capsys, where):
+    if where == "a directory":
+        out_path = tmp_path / "records"
+        out_path.mkdir()
+    else:
+        (tmp_path / "plain").write_text("")
+        out_path = tmp_path / "plain" / "scan.jsonl"
+    code, out, err = run(capsys, "scan", "--c-max", "3", "--mu-cap", "5", "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(out_path) in err
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"a": 1}', "[1, 2]", '"text"', '{"a": [3], "b": 4, "c": 5, "mu_cap": 5, "verdict": "MoriDream"}'],
+)
+def test_scan_line_that_is_not_a_record_exit_2(tmp_path, capsys, line):
+    out_file = tmp_path / "scan.jsonl"
+    args = ("scan", "--c-max", "3", "--mu-cap", "5", "--out", str(out_file))
+    assert run(capsys, *args)[0] == 0
+    record = out_file.read_text()
+    out_file.write_text(record + line + "\n" + record)
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {out_file}: line 2: not a scan record\n"
+    # the file is left as it was
+    assert out_file.read_text() == record + line + "\n" + record
+
+
 def test_scan_invalid_cmax(capsys):
     code, _, err = run(capsys, "scan", "--c-max", "2")
     assert code == 2
@@ -170,6 +200,16 @@ def test_verify_gens_budget_exhaustion_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "verify-gens", str(path), "--budget", "1")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_verify_gens_step_budget_exhaustion_exit_3(tmp_path, capsys):
+    # 50 S-pair reductions are far too few for the fixture's first basis
+    text = ir.files("wpp_mori").joinpath("data/verify_gens_7_3_11.txt").read_text()
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "verify-gens", str(path), "--step-budget", "50")
+    assert code == 3 and out == ""
+    assert err.startswith("resource limit: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--step-budget"])

@@ -195,6 +195,14 @@ def test_weighted_bound_needs_weights():
         buchberger(ideal, weights=(7, 3, 11))
 
 
+def test_start_basis_must_share_ring_and_order():
+    gb = buchberger(I("x - y"))
+    with pytest.raises(ValueError, match="another order"):
+        buchberger(I("y - z"), key=block_key(1), start=gb)
+    with pytest.raises(ValueError, match="another ring"):
+        buchberger(Ideal(("x", "y"), [P("y", ("x", "y"))]), start=gb)
+
+
 def test_block_order_elimination():
     # eliminating x from <x - y^2, x - z> leaves y^2 - z
     ring = ("x", "y", "z")
@@ -268,6 +276,39 @@ def test_fraction_free_kernel_is_scale_invariant(case):
     assert normal_form(f, GroebnerBasis(XYZ, list(gb.elements), key)) == nf
     for p in gb.elements + [nf]:
         assert all(type(v) is Fraction and v != 0 for v in p.terms.values())
+
+
+@st.composite
+def ideal_extension(draw):
+    """Two small ideals I and G of x, y, z with rational coefficients, a
+    polynomial, a term order and a polynomial to take a quotient by."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    coeffs = st.sampled_from(
+        [Fraction(c) for c in (2, -3, 5, 7)] + [Fraction(3, 2), Fraction(-7, 4), Fraction(5, 3)]
+    )
+
+    def poly(max_size):
+        return SparsePoly(XYZ, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_size)))
+
+    ideal = [poly(3) for _ in range(draw(st.integers(1, 3)))]
+    more = [poly(3) for _ in range(draw(st.integers(1, 2)))]
+    key = draw(st.sampled_from([grevlex_key, block_key(1)]))
+    h = draw(st.sampled_from(["z", "x*y", "x + y", "x*y - z"]))
+    return ideal, more, poly(6), key, P(h)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(ideal_extension())
+def test_extended_basis_is_the_basis_of_the_enlarged_ideal(case):
+    ideal, more, f, key, h = case
+    whole = Ideal(XYZ, ideal + more)
+    gb = buchberger(whole, key=key)
+    extended = buchberger(Ideal(XYZ, more), key=key, start=buchberger(Ideal(XYZ, ideal), key=key))
+    assert extended.elements == gb.elements and extended.key is key
+    assert normal_form(f, extended) == normal_form(f, gb)
+    assert extended.dimension() == krull_dimension(whole)
+    # the carried quotient: (I + G) : h from I : h equals the fresh quotient
+    assert quotient_by(Ideal(XYZ, ideal), h).extend(more).generators == quotient_by(whole, h).generators
 
 
 def test_normal_form_rescales_mid_reduction():

@@ -4,11 +4,13 @@ import importlib.resources as ir
 
 import pytest
 
-from wpp_mori import groebner, verifygens
-from wpp_mori.groebner import Ideal
-from wpp_mori.poly import SparsePoly, parse_poly
+from wpp_mori import coxring, groebner, verifygens
+from wpp_mori.groebner import Ideal, buchberger, krull_dimension, normal_form, quotient_by
+from wpp_mori.poly import SparsePoly, grevlex_key, parse_poly
 from wpp_mori.verifygens import (
+    Certificate,
     DiscoveryBudgetExceeded,
+    certificate_text,
     discover_saturation_element,
     initial_basis,
     parse_instance,
@@ -116,12 +118,14 @@ def test_initial_basis_shape():
 def test_discover_trivial_cases():
     ring = ("x", "t")
     degree_map = {"x": (1, 0), "t": (0, 1)}
-    tx = parse_poly("t*x", ring)
-    found = discover_saturation_element(Ideal(ring, [tx]), "t", degree_map)
-    assert str(found) == "x"
+    t = SparsePoly.variable(ring, "t")
+
+    def discover(ideal):
+        return discover_saturation_element(quotient_by(ideal, t), buchberger(ideal), degree_map)
+
+    assert str(discover(Ideal(ring, [parse_poly("t*x", ring)]))) == "x"
     # a t-saturated ideal is a fixed point
-    x = parse_poly("x", ring)
-    assert discover_saturation_element(Ideal(ring, [x]), "t", degree_map) is None
+    assert discover(Ideal(ring, [parse_poly("x", ring)])) is None
 
 
 def test_verify_fixture_golden():
@@ -172,3 +176,96 @@ def test_certificate_text():
     text = verifygens.certificate_text(cert)
     assert "verified: True" in text
     assert "dims: 3 3 2" in text
+
+
+def _from_scratch_certificate(instance, discovery_budget=25):
+    """The discovery loop with every basis, quotient and dimension computed
+    afresh in each round: the oracle of the loop that carries them."""
+    mults = rees_multiplicities(instance)
+    warnings = [
+        f"generator {f} does not vanish at the point"
+        for f, m in zip(instance.ideal_gens, mults)
+        if m == 0
+    ]
+    ring, s_names, basis = initial_basis(instance, mults)
+    degree_map = verifygens._degree_map(instance, mults, ring, s_names)
+    t = SparsePoly.variable(ring, "t")
+    f = instance.product.rename_ring(ring, {v: v for v in instance.variables})
+
+    def sort_key(p):
+        deg = p.multi_degree(degree_map)
+        head = deg if deg is not None else (10 ** 9, 10 ** 9)
+        return (head, grevlex_key(p.leading()[0]))
+
+    trace = []
+    for _ in range(discovery_budget + 1):
+        dim_t = krull_dimension(Ideal(ring, basis + [t]))
+        dim_tf = krull_dimension(Ideal(ring, basis + [t, f]))
+        dims = (3, dim_t, dim_tf)
+        if dim_t == 3 and dim_t > (-1 if dim_tf is None else dim_tf):
+            return certificate_text(Certificate(True, dims, list(basis), trace, mults, warnings))
+        quotient = quotient_by(Ideal(ring, basis), t)
+        gb = buchberger(Ideal(ring, basis))
+        candidates = [normal_form(g, gb) for g in quotient.generators]
+        candidates = [r.primitive() for r in candidates if not r.is_zero()]
+        if not candidates:
+            return certificate_text(Certificate(False, dims, list(basis), trace, mults, warnings))
+        new = min(candidates, key=sort_key)
+        basis.append(new)
+        trace.append(new)
+    raise DiscoveryBudgetExceeded
+
+
+XYZ = ("x", "y", "z")
+
+
+def _generator_instance(triple, gens):
+    weights = WeightTriple(*triple)
+    if gens == "mult2":
+        # the Mult2 sections are written for the triple in the order classify gives
+        cls = coxring.classify(weights)
+        weights, gens = WeightTriple(*cls.reordering), coxring.mult2_fs(cls)
+    return verifygens.BlowupInput(weights, XYZ, list(gens), parse_poly("x*y*z", XYZ))
+
+
+def _oracle_instances():
+    yield "fixture", parse_instance(fixture_text())
+    for triple in [(3, 4, 5), (3, 5, 7)]:
+        yield "mult2_%d_%d_%d" % triple, _generator_instance(triple, "mult2")
+    for triple in [(3, 4, 5), (4, 5, 7)]:
+        yield "chart_%d_%d_%d" % triple, _generator_instance(triple, coxring.chart_binomials(WeightTriple(*triple)))
+    yield "kstar", parse_instance("weights: 5 2 3\nideal: x - y*z\nideal: y^3 - z^2\nproduct: x*y*z")
+    yield "plane", parse_instance("weights: 1 1 1\nideal: x - z\nideal: y - z\nproduct: x*y*z")
+    yield "nonvanishing", parse_instance("weights: 1 1 1\nideal: x\nideal: x - y\nproduct: z")
+
+
+ORACLE_INSTANCES = list(_oracle_instances())
+
+
+@pytest.mark.parametrize("name, instance", ORACLE_INSTANCES, ids=[name for name, _ in ORACLE_INSTANCES])
+def test_carried_bases_give_the_from_scratch_certificate(name, instance):
+    text = certificate_text(verify(instance))
+    assert text == _from_scratch_certificate(instance)
+    if name.startswith("chart"):
+        # the chart binomials alone reach the fixed point without the condition
+        assert text.startswith("verified: False\ndims: 3 3 3\n")
+
+
+def test_tf_dimension_only_where_it_can_decide(monkeypatch):
+    # The (3,4,5) guess takes six rounds, with dim <B u {t}> = 5, 4, 4, 4, 3, 3.
+    # The from-scratch loop computed dim <B u {t, f}> in each round; the
+    # carried loop computes it only where dim <B u {t}> = dim R_1 = 3.
+    instance = _generator_instance((3, 4, 5), "mult2")
+    calls = []
+
+    def counting(ideal, step_budget=groebner.DEFAULT_BUDGET):
+        calls.append(ideal)
+        return krull_dimension(ideal, step_budget)
+
+    monkeypatch.setattr(groebner, "krull_dimension", counting)
+    cert = verify(instance)
+    assert cert.ok and cert.dims == (3, 3, 2) and len(cert.trace) + 1 == 6
+    assert len(calls) == 2
+    t = SparsePoly.variable(calls[0].variables, "t")
+    f = parse_poly("x*y*z", calls[0].variables)
+    assert [ideal.generators[-2:] for ideal in calls] == [[t, f], [t, f]]
