@@ -167,17 +167,26 @@ def kstar_presentation(w):
     )
 
 
-def mult2_fs(w_or_cls):
-    """The four distinguished forms f1..f4 in K[x,y,z] for a Mult2 triple."""
-    cls = w_or_cls if isinstance(w_or_cls, TripleClass) else classify(w_or_cls)
-    if not cls.is_mult2:
-        raise ValueError("not in the Mult2 regime")
+def _mult2_halves(cls):
+    """(c-n)/2, (b-m)/2, (c+n)/2, (b+m)/2, (c-3n)/2, (b-3m)/2 of a Mult2 class."""
     a, b, c = cls.reordering
     n, m = cls.n, cls.m
-    cn2 = _half(c - n, "c - n")
-    bm2 = _half(b - m, "b - m")
-    cp2 = _half(c + n, "c + n")
-    bp2 = _half(b + m, "b + m")
+    return (
+        _half(c - n, "c - n"),
+        _half(b - m, "b - m"),
+        _half(c + n, "c + n"),
+        _half(b + m, "b + m"),
+        _half(c - 3 * n, "c - 3n"),
+        _half(b - 3 * m, "b - 3m"),
+    )
+
+
+def mult2_fs(cls):
+    """The four distinguished forms f1..f4 in K[x,y,z] for a Mult2 `TripleClass`."""
+    if not cls.is_mult2:
+        raise ValueError("not in the Mult2 regime")
+    cn2, bm2, cp2, bp2, c3n2, b3m2 = _mult2_halves(cls)
+    n, m = cls.n, cls.m
     S = ("x", "y", "z")
     x = SparsePoly.variable(S, "x")
     y = SparsePoly.variable(S, "y")
@@ -185,8 +194,6 @@ def mult2_fs(w_or_cls):
     f1 = x ** 2 - y ** n * z ** m
     f2 = x * z ** bm2 - y ** cp2
     f3 = x * y ** cn2 - z ** bp2
-    c3n2 = _half(c - 3 * n, "c - 3n")
-    b3m2 = _half(b - 3 * m, "b - 3m")
     f4 = x * y ** c3n2 * z ** b3m2 * f1 - y ** cn2 * f2 - z ** bm2 * f3
     return f1, f2, f3, f4
 
@@ -198,12 +205,7 @@ def mult2_presentation(w):
         raise ValueError(f"{w.as_tuple()} is not in the Mult2 regime")
     a, b, c = cls.reordering
     n, m = cls.n, cls.m
-    cn2 = _half(c - n, "c - n")
-    bm2 = _half(b - m, "b - m")
-    cp2 = _half(c + n, "c + n")
-    bp2 = _half(b + m, "b + m")
-    c3n2 = _half(c - 3 * n, "c - 3n")
-    b3m2 = _half(b - 3 * m, "b - 3m")
+    cn2, bm2, cp2, bp2, c3n2, b3m2 = _mult2_halves(cls)
     R = ("x", "y", "z", "s1", "s2", "s3", "s4", "t")
 
     def mono(x=0, y=0, z=0, s1=0, s2=0, s3=0, s4=0, t=0, coeff=1):
@@ -295,7 +297,7 @@ def _lattice_basis_binomials(w, f1, f2):
     return cross in ((a, b, c), (-a, -b, -c))
 
 
-def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
+def verify_presentation(w, pres):
     """Run the mechanical checks on a constructed presentation.
 
     Checks: (1) Z^2-homogeneity of every relation; (2) section Rees
@@ -306,7 +308,8 @@ def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
     In (4), when f1 and f2 are binomials of a Z-basis of the point's
     lattice (`_lattice_basis_binomials`), <f1,f2> : (xyz)^oo is that
     lattice ideal by theorem; otherwise the chart binomials are saturated
-    and compared.
+    and compared.  In (5), I^2 is homogeneous, so f4 in I^2 is decided by
+    linear algebra in the one degree bc of f4 (`mult.in_ideal`).
     """
     checks = []
     wt = WeightTriple(*pres.weights)
@@ -371,12 +374,8 @@ def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
     if pres.variant == "Mult2":
         f1, f2, f3, f4 = (pres.sections[s] for s in ("s1", "s2", "s3", "s4"))
         xyz = SparsePoly.monomial(S, (1, 1, 1))
-        sat12 = groebner.saturate(
-            groebner.Ideal(S, [f1, f2]), xyz, step_budget=step_budget
-        )
-        gb123 = groebner.buchberger(
-            groebner.Ideal(S, [f1, f2, f3]), step_budget=step_budget
-        )
+        sat12 = groebner.saturate(groebner.Ideal(S, [f1, f2]), xyz)
+        gb123 = groebner.buchberger(groebner.Ideal(S, [f1, f2, f3]))
         # a saturation's generators are its reduced basis, so comparing them
         # with gb123's elements decides ideal equality
         ok = sat12.generators == gb123.elements
@@ -384,9 +383,7 @@ def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
             # then sat12 is the point lattice ideal itself
             ok2 = ok
         else:
-            lattice = groebner.saturate(
-                groebner.Ideal(S, chart_binomials(wt)), xyz, step_budget=step_budget
-            )
+            lattice = groebner.saturate(groebner.Ideal(S, chart_binomials(wt)), xyz)
             ok2 = lattice.generators == gb123.elements
         checks.append(
             CheckResult(
@@ -398,15 +395,8 @@ def verify_presentation(w, pres, step_budget=groebner.DEFAULT_BUDGET):
             )
         )
 
-        bc = pres.weights[1] * pres.weights[2]
         sq_gens = [f1 * f1, f1 * f2, f1 * f3, f2 * f2, f2 * f3, f3 * f3]
-        gb_sq = groebner.buchberger(
-            groebner.Ideal(S, sq_gens),
-            step_budget=step_budget,
-            weighted_bound=bc,
-            weights=wt.as_tuple(),
-        )
-        in_square = groebner.normal_form(f4, gb_sq).is_zero()
+        in_square = mult.in_ideal(wt, sq_gens, f4)
         mu4 = mult.rees_multiplicity(wt, f4)
         checks.append(
             CheckResult(

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter, lshift, mul
+from operator import itemgetter, lshift
 
 from .poly import SparsePoly, block_key, grevlex_key
 
@@ -132,9 +132,6 @@ class _Packing:
 
     def decode(self, k):
         p = ((k + self.ones) & self.top) - k
-        return self.exponents(p)
-
-    def exponents(self, p):
         mask = self.mask
         return tuple([(p >> s) & mask for s in self.shifts])
 
@@ -303,19 +300,8 @@ def _update_pairs(basis, pairs, pair_info, pk):
     return kept
 
 
-def buchberger(
-    ideal,
-    key=grevlex_key,
-    step_budget=DEFAULT_BUDGET,
-    weighted_bound=None,
-    weights=None,
-    start=None,
-):
+def buchberger(ideal, key=grevlex_key, step_budget=DEFAULT_BUDGET, start=None):
     """Reduced Groebner basis of the ideal under the given monomial order.
-
-    With `weighted_bound` and per-variable `weights`, S-pairs whose lcm has
-    weighted degree above the bound are discarded; for an ideal homogeneous
-    in those weights, the result is a Groebner basis truncated at that degree.
 
     With `start`, a complete reduced basis under `key` in the ideal's ring,
     the result is the reduced basis of the ideal generated by start and the
@@ -326,8 +312,6 @@ def buchberger(
     `step_budget` counts only the pairs they bring.  A reduced basis is
     unique, so the result equals the basis computed from all the generators.
     """
-    if (weighted_bound is None) != (weights is None):
-        raise ValueError("weighted_bound and weights must be given together")
     base = []
     if start is not None:
         if start.variables != ideal.variables or start.key is not key:
@@ -338,7 +322,7 @@ def buchberger(
     while True:
         pk = _Packing(len(ideal.variables), key, w)
         try:
-            elements = _buchberger(base, gens, pk, step_budget, weighted_bound, weights)
+            elements = _buchberger(base, gens, pk, step_budget)
             break
         except _Widen:
             w *= 2
@@ -347,7 +331,7 @@ def buchberger(
     ], key)
 
 
-def _buchberger(base, gens, pk, step_budget, weighted_bound, weights):
+def _buchberger(base, gens, pk, step_budget):
     """Term dicts (exponent tuple -> Fraction) of the reduced basis of base + gens, packed by pk.
 
     `base` is a reduced basis (or empty), taken with no pending pairs; the
@@ -373,10 +357,7 @@ def _buchberger(base, gens, pk, step_budget, weighted_bound, weights):
         pair = min(pairs, key=pair_info.__getitem__)
         pairs.discard(pair)
         i, j = pair
-        lk, lp = pair_info.pop(pair)
-        if weights is not None:
-            if sum(map(mul, weights, pk.exponents(lp))) > weighted_bound:
-                continue
+        lk, _ = pair_info.pop(pair)
         steps += 1
         if steps > step_budget:
             raise StepBudgetExceeded(f"pair-reduction budget {step_budget} exhausted")

@@ -159,6 +159,29 @@ def rees_multiplicity(w, f):
     return _vanishing_order(w, d, vec)
 
 
+def in_ideal(w, forms, g):
+    """True iff the form g lies in the ideal generated by the given forms.
+
+    g and every form are nonzero and weighted-homogeneous.  The ideal is
+    homogeneous, so g, of degree d, lies in it iff g lies in the span of the
+    spaces f * S_(d - d_f).  Those are `_multiple_vectors` at multiplicity 0,
+    since V(e, 0) = S_e.
+    """
+    weights = w.as_tuple()
+    d = g.weighted_degree(weights)
+    if d is None:
+        raise ValueError("polynomial is not weighted-homogeneous")
+    monos = monomials_of_degree(w, d)
+    rows = []
+    for f in forms:
+        d_f = f.weighted_degree(weights)
+        if d_f is None:
+            raise ValueError("generator is not weighted-homogeneous")
+        rows += _multiple_vectors(w, (d_f, 0, f), d, 0, monos)
+    target = [int(c) for c in _coefficient_vector(g.primitive(), monos)]
+    return linalg.in_span(rows, target)
+
+
 def witness_vector(w, d, mu, factor=None, tie_break="first"):
     """(vec, monos) for a form of V(d, mu) of multiplicity exactly mu outside f*S.
 

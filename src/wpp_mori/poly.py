@@ -195,24 +195,21 @@ class SparsePoly:
         exp = max(self.terms, key=key)
         return exp, self.terms[exp]
 
-    def monic(self, key=grevlex_key):
-        _, c = self.leading(key)
+    def monic(self):
+        _, c = self.leading()
         return self.scale(Fraction(1) / c)
 
     def primitive(self):
         """Integer-content-normalized copy with positive grevlex leading coefficient."""
         if not self.terms:
             return self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * (den // c.denominator)))
-        scaled = self.scale(Fraction(den, num))
-        if scaled.leading()[1] < 0:
-            scaled = -scaled
-        return scaled
+        _, terms = _integer_terms(self)
+        g = gcd(*terms.values())
+        if terms[self.leading()[0]] < 0:
+            g = -g
+        return SparsePoly._trusted(
+            self.variables, {e: Fraction(c // g) for e, c in terms.items()}
+        )
 
     def weighted_degree(self, weights):
         """Common weighted degree of all terms, or None if inhomogeneous.
@@ -338,19 +335,19 @@ class SparsePoly:
 
     # -- division ---------------------------------------------------------
 
-    def divide_by(self, f, key=grevlex_key):
+    def divide_by(self, f):
         """Divide by a single polynomial: returns (quotient, remainder)."""
         if f.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         self._check_ring(f)
-        lexp, lc = f.leading(key)
+        lexp, lc = f.leading()
         g = dict(self.terms)
         quot = {}
         rem = {}
         # one term dict, updated in place; its leading exponent strictly
         # falls, so no quotient exponent repeats
         while g:
-            gexp = max(g, key=key)
+            gexp = max(g, key=grevlex_key)
             gc = g.pop(gexp)
             diff = tuple(a - b for a, b in zip(gexp, lexp))
             if min(diff, default=0) < 0:

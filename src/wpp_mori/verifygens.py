@@ -131,7 +131,7 @@ def initial_basis(instance, mults):
     return ring, s_names, basis
 
 
-def _degree_map(instance, mults, ring, s_names):
+def _degree_map(instance, mults, s_names):
     weights = instance.weights.as_tuple()
     dm = {v: (wv, 0) for v, wv in zip(instance.variables, weights)}
     for name, f, m in zip(s_names, instance.ideal_gens, mults):
@@ -187,7 +187,7 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
         if m == 0:
             warnings.append(f"generator {f} does not vanish at the point")
     ring, s_names, basis = initial_basis(instance, mults)
-    degree_map = _degree_map(instance, mults, ring, s_names)
+    degree_map = _degree_map(instance, mults, s_names)
     mapping = {v: v for v in instance.variables}
     t_poly = SparsePoly.variable(ring, "t")
     f_poly = instance.product.rename_ring(ring, mapping)

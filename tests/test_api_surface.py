@@ -16,7 +16,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "wpp_mori"
 
 ALLOWED_UNCALLED = {
-    "linalg.in_span": "acceptance criterion 7 (congruence of the reduced weights)",
     "m0n.unimodular_equivalent": "acceptance criterion 7 (lattice equivalence)",
     "m0n.search_weights": "acceptance criterion 7 (weight search)",
     "mult.slice_dim": "acceptance criterion 8 and bench/test_bench.py (tracer spans)",

@@ -69,7 +69,7 @@ def test_kstar_suite_small():
 
 
 def test_mult2_fs_golden():
-    f1, f2, f3, f4 = mult2_fs(WeightTriple(7, 3, 11))
+    f1, f2, f3, f4 = mult2_fs(classify(WeightTriple(7, 3, 11)))
     assert f1 == parse_poly("x^2 - y*z", XYZ)
     assert f2 == parse_poly("x*z - y^6", XYZ)
     assert f3 == parse_poly("x*y^5 - z^2", XYZ)
@@ -128,6 +128,19 @@ def test_verify_catches_wrong_section():
     report = verify_presentation(WeightTriple(2, 3, 7), corrupt)
     assert not report.ok
     assert any(c.name == "rees_multiplicities" for c in report.failures())
+
+
+def test_f4_check_fails_for_a_section_inside_the_square():
+    # x*y*f1^2 has degree bc = 35 and multiplicity 2, like f4, but lies in I^2
+    w = WeightTriple(6, 5, 7)
+    pres = mult2_presentation(w)
+    assert pres.weights == (6, 5, 7)
+    sections = dict(pres.sections)
+    sections["s4"] = sections["x"] * sections["y"] * sections["s1"] ** 2
+    report = verify_presentation(w, dataclasses.replace(pres, sections=sections))
+    assert report.checks[-1] == coxring.CheckResult(
+        "f4_between_powers", False, "f4 multiplicity 2, in I^2: True"
+    )
 
 
 def test_chart_binomials_define_the_point():

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wpp_mori import mult
+from wpp_mori import cli, coxring, groebner, mult
 from wpp_mori.poly import SparsePoly, parse_poly
 from wpp_mori.weights import WeightTriple, monomials_of_degree
 
@@ -236,3 +236,50 @@ def test_every_kernel_basis_vector_has_exact_multiplicity(triple, d, mu):
     assume(vecs)
     for v in vecs:
         assert mult.rees_multiplicity(w, _poly(v, monos)) == mu
+
+
+def _square_membership_candidates(w, fs):
+    """(form, kind) pairs of degree bc: f4, and for each product f_i * f_j of
+    degree at most bc whose cofactor degree has a monomial m (the first one),
+    m * f_i * f_j and f4 + m * f_i * f_j."""
+    f1, f2, f3, f4 = fs
+    bc = w.b * w.c
+    out = [(f4, "f4")]
+    for i, fi in enumerate((f1, f2, f3)):
+        for fj in (f1, f2, f3)[i:]:
+            product = fi * fj
+            e = bc - product.weighted_degree(w.as_tuple())
+            monos = monomials_of_degree(w, e) if e >= 0 else []
+            if monos:
+                g = SparsePoly.monomial(XYZ, monos[0]) * product
+                out += [(g, "product"), (f4 + g, "f4 + product")]
+    return out
+
+
+def test_in_ideal_matches_groebner_membership_in_the_square():
+    # I^2 of the Mult2 forms f1, f2, f3; the oracle reduces by a full,
+    # untruncated grevlex basis of the six products
+    answers = {}
+    classes = [coxring.classify(WeightTriple(*t)) for t in cli.coprime_triples(25)]
+    classes = [cls for cls in classes if cls.is_mult2]
+    assert len(classes) == 134
+    for cls in classes:
+        w = WeightTriple(*cls.reordering)
+        f1, f2, f3, f4 = fs = coxring.mult2_fs(cls)
+        square = [f1 * f1, f1 * f2, f1 * f3, f2 * f2, f2 * f3, f3 * f3]
+        gb = groebner.buchberger(groebner.Ideal(XYZ, square))
+        for g, kind in _square_membership_candidates(w, fs):
+            member = mult.in_ideal(w, square, g)
+            assert member == groebner.ideal_member(g, gb), (cls.reordering, kind)
+            answers.setdefault(kind, set()).add(member)
+    assert answers == {"f4": {False}, "product": {True}, "f4 + product": {False}}
+
+
+def test_in_ideal_edge_cases():
+    w = WeightTriple(7, 3, 11)
+    f1, f2, f3, f4 = coxring.mult2_fs(coxring.classify(w))
+    square = [f1 * f1, f1 * f2, f1 * f3, f2 * f2, f2 * f3, f3 * f3]
+    # (I^2)_33 = 0: no product has a cofactor of degree 33 - deg
+    assert not mult.in_ideal(w, square, f4)
+    with pytest.raises(ValueError):
+        mult.in_ideal(w, square, f4 + parse_poly("x", XYZ))
