@@ -5,7 +5,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -231,6 +230,9 @@ def scan_triples(triples, mu_cap, out_path, workers=1):
     if todo:
         # more workers than triples would only start idle processes
         workers = min(workers, len(todo))
+        if workers > 1:
+            # a serial scan does not pay for this import
+            from concurrent.futures import ProcessPoolExecutor
         # one triple left runs in this process, with no pool
         with out as fh, (
             ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()

@@ -139,8 +139,13 @@ def kernel_basis(rows, ncols):
 
 
 def in_span(vectors, target):
-    """True iff target lies in the rational span of the given integer vectors."""
-    return rank(list(vectors) + [target]) == rank(vectors)
+    """True iff target lies in the rational span of the given integer vectors.
+
+    One echelon of the matrix whose columns are the vectors, with the target
+    last: the target is in the span iff its column is not a pivot column.
+    """
+    cols = list(vectors) + [target]
+    return len(cols) - 1 not in _echelon(list(zip(*cols)), len(cols))[1]
 
 
 def identity(n):

@@ -8,6 +8,7 @@ condition matrices give the graded pieces of the symbolic powers I^mu : J^oo.
 
 from functools import lru_cache
 from itertools import count, islice
+from math import gcd, isqrt
 
 from . import linalg
 from .poly import SparsePoly
@@ -36,6 +37,39 @@ def _inverse_unimodular_3x3(v):
     return [[cof[j][i] * det for j in range(3)] for i in range(3)]
 
 
+def _short_directions(a, b, c):
+    """The three weight-zero directions of least weighted length, up to sign.
+
+    The weighted length of a weight-zero vector (x, y, z) is
+    (a|x| + b|y| + c|z|) / 2, the degree of its binomial.  A vector of
+    length at most n has each weighted coordinate at most n, so enumerating
+    the two coordinates of the larger weights in that box and solving for
+    the third finds all of them; n doubles until three primitive vectors,
+    one per direction, fit.  Ties go to the vector that sorts first.
+    """
+    w = (a, b, c)
+    # enumerate the coordinates j, k of the two larger weights, solve for i
+    i, j, k = sorted(range(3), key=w.__getitem__)
+    inv = pow(w[k], -1, w[i])
+    n = isqrt(a * b * c)
+    while True:
+        found = set()
+        for s in range(-(n // w[j]), n // w[j] + 1):
+            # only t = -w[j] * s / w[k] mod w[i] leaves an integer r
+            lo = -(n // w[k])
+            lo += (-w[j] * s * inv - lo) % w[i]
+            for t in range(lo, n // w[k] + 1, w[i]):
+                r = (-w[j] * s - w[k] * t) // w[i]
+                twice = w[i] * abs(r) + w[j] * abs(s) + w[k] * abs(t)
+                if twice <= 2 * n and gcd(r, s, t) == 1:
+                    v = [0, 0, 0]
+                    v[i], v[j], v[k] = r, s, t
+                    found.add((twice, max(tuple(v), tuple(-x for x in v))))
+        if len(found) >= 3:
+            return [v for _, v in sorted(found)[:3]]
+        n *= 2
+
+
 @lru_cache(maxsize=None)
 def _chart(a, b, c):
     d, u, v = linalg.smith_normal_form([[a, b, c]])
@@ -51,30 +85,32 @@ def _chart(a, b, c):
             dot = sum(chart_map[i][k] * basis[j][k] for k in range(3))
             if dot != (1 if i == j else 0):
                 raise AssertionError("chart map does not invert the kernel basis")
-    return chart_map, basis
+    # the lines of direction t in a degree are the level sets of the normal t x (a, b, c)
+    normals = [
+        (y * c - z * b, z * a - x * c, x * b - y * a) for x, y, z in _short_directions(a, b, c)
+    ]
+    return chart_map, basis, normals
 
 
 def chart_kernel_basis(w):
     """Basis of the weight-zero exponent lattice (preimages of the Z^2 unit vectors)."""
-    _, basis = _chart(w.a, w.b, w.c)
+    basis = _chart(w.a, w.b, w.c)[1]
     return [list(b) for b in basis]
 
 
-def _chart_exponents(w, d):
-    """Monomials of degree d and their exponents (u, v) in the lattice chart.
+def _chart_exponents(w, monos):
+    """Exponents (u, v) in the lattice chart of monomials of one degree.
 
     With the chart map's rows r and s, (u, v) = (r.m - r.m0, s.m - s.m0),
-    relative to the lexicographically least monomial m0.
+    relative to the first monomial m0.
     """
-    monos = monomials_of_degree(w, d)
     if not monos:
-        return [], monos
+        return []
     (r0, r1, r2), (s0, s1, s2) = _chart(w.a, w.b, w.c)[0]
     x0, y0, z0 = monos[0]
     u0 = r0 * x0 + r1 * y0 + r2 * z0
     v0 = s0 * x0 + s1 * y0 + s2 * z0
-    uv = [(r0 * x + r1 * y + r2 * z - u0, s0 * x + s1 * y + s2 * z - v0) for x, y, z in monos]
-    return uv, monos
+    return [(r0 * x + r1 * y + r2 * z - u0, s0 * x + s1 * y + s2 * z - v0) for x, y, z in monos]
 
 
 def _rows_by_order(uv):
@@ -95,27 +131,98 @@ def _rows_by_order(uv):
         bv.append([x * (v - order) // (order + 1) for x, v in zip(bv[-1], vs)])
 
 
-def condition_matrix(w, d, mu):
+def condition_matrix(w, monos, mu):
     """Integer matrix whose kernel is V(d, mu) in monomial coordinates.
 
-    Rows are indexed by Hasse-derivative orders (alpha, beta) with
-    alpha + beta < mu; columns by the monomials of degree d in lex order.
+    monos are the monomials of degree d in lex order, `monomials_of_degree`;
+    they index the columns and come back with the rows.  Rows are indexed by
+    Hasse-derivative orders (alpha, beta) with alpha + beta < mu.
     """
-    uv, monos = _chart_exponents(w, d)
     if not monos:
         return [], monos
-    return [row for rows in islice(_rows_by_order(uv), mu) for row in rows], monos
+    orders = islice(_rows_by_order(_chart_exponents(w, monos)), mu)
+    return [row for rows in orders for row in rows], monos
 
 
 def slice_dim(w, d, mu):
     """dim of {f in S_d : mult of f at [1,1,1] >= mu}, without building a basis."""
-    rows, monos = condition_matrix(w, d, mu)
+    rows, monos = condition_matrix(w, monomials_of_degree(w, d), mu)
     return len(monos) - linalg.rank(rows)
 
 
+def _peeled_zero(w, monos, mu):
+    """True only if V(d, mu) = 0 for the monomials monos of degree d.
+
+    The rows C(u, alpha) * C(v, beta), alpha + beta < mu, span the
+    polynomials of degree <= m = mu - 1 on the distinct chart points Z of
+    the monomials, so the kernel is 0 iff Z imposes independent conditions
+    in degree m.  Residual lemma: if a line L holds at most m + 1 points of
+    Z and the points of Z off L are independent in degree m - 1, then Z is
+    independent in degree m.  Interpolate the values on L by a univariate
+    polynomial of degree <= m, then correct the values off L by l * h,
+    where l is the line's equation and deg h <= m - 1.  The empty set is
+    independent in every degree.
+
+    A line is {e : n.e = k} for a weight-zero direction t and its normal
+    n = t x (a, b, c); the chart is affine, so it is a line in (u, v) too.
+    The peel takes the three directions of least weighted length.  At each
+    step it removes the line with the most points among those with at most
+    m + 1 (of equal ones, the first in the shortest direction) and lowers m
+    by one; it gives up when more points remain than the (m + 1)(m + 2) / 2
+    monomials of degree <= m.  Line counts drop as points go.  The
+    directions decide only how often the peel succeeds, never its answer;
+    False proves nothing.
+    """
+    left = len(monos)
+    m = mu - 1
+    if 2 * left > (m + 1) * (m + 2):
+        return False
+    normals = _chart(w.a, w.b, w.c)[2]
+    keys = [[p * x + q * y + r * z for x, y, z in monos] for p, q, r in normals]
+    lines = []
+    for ks in keys:
+        members = {}
+        for i, k in enumerate(ks):
+            members.setdefault(k, []).append(i)
+        lines.append(members)
+    counts = [{k: len(ids) for k, ids in members.items()} for members in lines]
+    alive = [True] * left
+    while left:
+        # max keeps the first of equal counts: the shortest direction's first line
+        best = max(
+            ((n, j, k) for j, cnt in enumerate(counts) for k, n in cnt.items() if 0 < n <= m + 1),
+            key=lambda t: t[0],
+            default=None,
+        )
+        if best is None:
+            return False
+        n, j, key = best
+        for i in lines[j][key]:
+            if alive[i]:
+                alive[i] = False
+                for ks, cnt in zip(keys, counts):
+                    cnt[ks[i]] -= 1
+        left -= n
+        m -= 1
+        if 2 * left > (m + 1) * (m + 2):
+            return False
+    return True
+
+
 def slice_kernel_vectors(w, d, mu):
-    """Kernel basis vectors of the condition matrix (monomial coordinates)."""
-    rows, monos = condition_matrix(w, d, mu)
+    """Kernel basis vectors of the condition matrix (monomial coordinates).
+
+    At mu = 0 there are no conditions: the unit vectors of S_d.  A slice
+    that `_peeled_zero` certifies has no kernel, and its condition matrix is
+    never built.
+    """
+    monos = monomials_of_degree(w, d)
+    if not mu:
+        n = len(monos)
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)], monos
+    if _peeled_zero(w, monos, mu):
+        return [], monos
+    rows, monos = condition_matrix(w, monos, mu)
     return linalg.kernel_basis(rows, len(monos)), monos
 
 
@@ -138,10 +245,11 @@ def _coefficient_vector(f, monos):
     return vec
 
 
-def _vanishing_order(w, d, vec):
-    """Least order at which the degree-d form vec has a nonzero Hasse derivative."""
+def _vanishing_order(w, d, monos, vec):
+    """Least order at which the degree-d form vec in the monomials monos has a
+    nonzero Hasse derivative."""
     # a nonzero form has finite multiplicity; 2d + 2 safely bounds it
-    for order, rows in zip(range(2 * d + 3), _rows_by_order(_chart_exponents(w, d)[0])):
+    for order, rows in zip(range(2 * d + 3), _rows_by_order(_chart_exponents(w, monos))):
         if any(sum(r * x for r, x in zip(row, vec)) for row in rows):
             return order
     raise AssertionError("multiplicity bound exceeded for a nonzero form")
@@ -155,8 +263,9 @@ def rees_multiplicity(w, f):
     if d is None:
         raise ValueError("polynomial is not weighted-homogeneous")
     # scaling keeps the multiplicity, and integer sums are cheaper than Fraction ones
-    vec = [int(c) for c in _coefficient_vector(f.primitive(), monomials_of_degree(w, d))]
-    return _vanishing_order(w, d, vec)
+    monos = monomials_of_degree(w, d)
+    vec = [int(c) for c in _coefficient_vector(f.primitive(), monos)]
+    return _vanishing_order(w, d, monos, vec)
 
 
 def in_ideal(w, forms, g):

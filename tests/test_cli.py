@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, resumable scans."""
 
+import concurrent.futures
 import importlib.resources as ir
 import json
 
@@ -343,7 +344,8 @@ class _SerialPool:
 
 
 def test_scan_pool_is_no_larger_than_the_triples_left(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    # scan_triples imports the pool class only when it needs a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     out_file = tmp_path / "scan.jsonl"
     triples = cli.coprime_triples(5)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from wpp_mori import linalg, orthpair
+from wpp_mori import linalg, mult, orthpair
 from wpp_mori.weights import WeightTriple
 
 BIG_PRIME = 2**61 - 1  # p^2 above 2^64: the certificate always refuses
@@ -104,33 +104,45 @@ def test_full_rank_certificate_misses_when_p_divides_the_determinant(p):
 
 
 def _visited_slices(monkeypatch, w, mu_cap):
-    """Condition matrices of every slice mds_test(w, mu_cap) eliminates."""
-    seen = []
-    kernel_basis = linalg.kernel_basis
+    """Condition matrices of the slices mds_test(w, mu_cap) eliminates, and of
+    the slices the line peel certifies without eliminating them."""
+    seen, peeled = [], []
+    kernel_basis, peeled_zero = linalg.kernel_basis, mult._peeled_zero
 
     def record(rows, ncols):
         seen.append((rows, ncols))
         return kernel_basis(rows, ncols)
 
+    def record_peel(w, monos, mu):
+        if not peeled_zero(w, monos, mu):
+            return False
+        peeled.append((mult.condition_matrix(w, monos, mu)[0], len(monos)))
+        return True
+
     monkeypatch.setattr(linalg, "kernel_basis", record)
+    monkeypatch.setattr(mult, "_peeled_zero", record_peel)
     verdict = orthpair.mds_test(w, mu_cap)
     monkeypatch.undo()
-    return verdict, seen
+    return verdict, seen, peeled
 
 
 def test_full_rank_certificate_on_condition_matrices(monkeypatch):
-    verdict, seen = _visited_slices(monkeypatch, WeightTriple(9, 10, 13), 11)
-    # find_f1 eliminates 108 of the 385 degrees and infers the rest
-    assert verdict.outcome == "Inconclusive" and len(seen) == 108
+    verdict, seen, peeled = _visited_slices(monkeypatch, WeightTriple(9, 10, 13), 11)
+    # find_f1 visits 108 of the 385 degrees and infers the rest; the peel
+    # certifies 78 of them, and 30 are eliminated
+    assert verdict.outcome == "Inconclusive" and len(seen) == 30
+    assert len(peeled) + len(seen) == 108
     # every slice it eliminates is certified, and correctly so
     assert all(linalg._full_rank_mod_p(rows, n) for rows, n in seen)
-    assert all(linalg.rank(rows) == n for rows, n in seen)
+    assert all(linalg.rank(rows) == n for rows, n in seen + peeled)
     for triple in [(2, 3, 5), (7, 3, 11), (4, 5, 7), (3, 5, 7)]:
-        verdict, seen = _visited_slices(monkeypatch, WeightTriple(*triple), 6)
+        verdict, seen, peeled = _visited_slices(monkeypatch, WeightTriple(*triple), 6)
         assert verdict.is_mori_dream
-        full = [linalg.rank(rows) == n for rows, n in seen]
-        assert 0 < sum(full) < len(seen)
-        for (rows, n), exact in zip(seen, full):
+        visited = seen + peeled
+        full = [linalg.rank(rows) == n for rows, n in visited]
+        assert 0 < sum(full) < len(visited)
+        assert all(full[len(seen):])
+        for (rows, n), exact in zip(visited, full):
             if len(rows) >= n and linalg._full_rank_mod_p(rows, n):
                 assert exact
 
@@ -146,6 +158,26 @@ def test_in_span():
     assert linalg.in_span(vecs, (2, -1, 1))
     assert not linalg.in_span(vecs, (0, 0, 1))
     assert linalg.in_span([], (0, 0, 0))
+
+
+@st.composite
+def spans_and_targets(draw):
+    n = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    vectors = draw(st.lists(vec, max_size=5))
+    # a combination of the vectors is in the span; a free draw mostly is not
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(vectors), max_size=len(vectors)))
+    combo = [sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(n)]
+    return vectors, combo if draw(st.booleans()) else draw(vec)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spans_and_targets())
+def test_in_span_matches_rank_comparison(vt):
+    vectors, target = vt
+    assert linalg.in_span(vectors, target) == (
+        linalg.rank(vectors + [target]) == linalg.rank(vectors)
+    )
 
 
 def _det(m):

@@ -8,14 +8,14 @@ are computed with sympy, independently of the package's lattice chart.
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wpp_mori import cli, coxring, groebner, mult
+from wpp_mori import cli, coxring, groebner, linalg, mult
 from wpp_mori.poly import SparsePoly, parse_poly
 from wpp_mori.weights import WeightTriple, monomials_of_degree
 
@@ -124,8 +124,9 @@ def test_chart_kernel_basis_spans_weight_zero_lattice():
 def test_chart_exponents_are_coordinates_in_the_kernel_basis(triple, d):
     # checked against the basis alone: u*basis[0] + v*basis[1] = m - m0
     w = WeightTriple(*triple)
-    uv, monos = mult._chart_exponents(w, d)
-    assert monos == monomials_of_degree(w, d) and len(uv) == len(monos)
+    monos = monomials_of_degree(w, d)
+    uv = mult._chart_exponents(w, monos)
+    assert len(uv) == len(monos)
     b0, b1 = mult.chart_kernel_basis(w)
     for (u, v), m in zip(uv, monos):
         assert [u * x + v * y for x, y in zip(b0, b1)] == [m[i] - monos[0][i] for i in range(3)]
@@ -142,9 +143,10 @@ def _binom(n, k):
 @example((7, 3, 11), 29, 3)
 def test_condition_matrix_matches_comb_reference(triple, d, mu):
     w = WeightTriple(*triple)
-    rows, monos = mult.condition_matrix(w, d, mu)
-    uv, chart_monos = mult._chart_exponents(w, d)
-    assert monos == chart_monos == monomials_of_degree(w, d)
+    monos = monomials_of_degree(w, d)
+    rows, returned = mult.condition_matrix(w, monos, mu)
+    uv = mult._chart_exponents(w, monos)
+    assert returned is monos
     expected = [
         [_binom(u, alpha) * _binom(v, order - alpha) for u, v in uv]
         for order in range(mu)
@@ -156,7 +158,8 @@ def test_condition_matrix_matches_comb_reference(triple, d, mu):
 def test_condition_matrix_examples_have_negative_chart_exponents():
     # the explicit examples above reach C(u, k) with u < 0 in both coordinates
     for triple, d in [((1, 2, 3), 5), ((7, 3, 11), 29)]:
-        uv, _ = mult._chart_exponents(WeightTriple(*triple), d)
+        w = WeightTriple(*triple)
+        uv = mult._chart_exponents(w, monomials_of_degree(w, d))
         assert min(u for u, _ in uv) < 0 and min(v for _, v in uv) < 0
 
 
@@ -224,6 +227,56 @@ def test_generic_exact_multiplicity_matches_oracle():
             witness = _witness(w, d, mu_min, tie_break=tie)
             assert mult.rees_multiplicity(w, witness) == mu_min, (w.as_tuple(), d, mu_min)
             assert oracle_multiplicity(w, witness) == mu_min
+
+
+def test_short_directions_are_the_shortest_weight_zero_vectors():
+    # brute force over a box that holds every vector of weighted length <= 60
+    for triple in [(1, 1, 1), (2, 3, 5), (7, 3, 11), (13, 1, 2), (5, 7, 8)]:
+        a, b, c = triple
+        found = set()
+        for x in range(-60, 61):
+            for y in range(-60, 61):
+                z, rem = divmod(-a * x - b * y, c)
+                if not rem and gcd(x, y, z) == 1:
+                    length = (a * abs(x) + b * abs(y) + c * abs(z)) // 2
+                    found.add((length, max((x, y, z), (-x, -y, -z))))
+        shortest = sorted(found)[:3]
+        assert shortest[-1][0] <= 60
+        assert mult._short_directions(*triple) == [v for _, v in shortest]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TRIPLES + cli.coprime_triples(20)), st.integers(1, 9), st.data())
+def test_peel_certifies_only_full_rank_slices(triple, mu, data):
+    w = WeightTriple(*triple)
+    # up to about mu * sqrt(abc) most slices have few enough monomials to peel
+    d = data.draw(st.integers(0, mu * isqrt(w.abc) + max(triple)))
+    monos = monomials_of_degree(w, d)
+    if mult._peeled_zero(w, monos, mu):
+        assert linalg.rank(mult.condition_matrix(w, monos, mu)[0]) == len(monos)
+
+
+def test_peel_goldens():
+    # (1, 2, 3) in degree 8: ten monomials against the ten conditions of
+    # mu = 4, but the five with z = 0 lie on a line, and five points on a
+    # line impose only four conditions in degree 3
+    w = WeightTriple(1, 2, 3)
+    monos = monomials_of_degree(w, 8)
+    assert len(monos) == 10 and sum(m[2] == 0 for m in monos) == 5
+    assert not mult._peeled_zero(w, monos, 4)
+    assert mult.slice_dim(w, 8, 4) == 1
+    assert len(mult.slice_kernel_vectors(w, 8, 4)[0]) == 1
+    # (9, 10, 13) in degree 204: 20 monomials against 21 conditions; after
+    # its longest line, of 6 points, every line left has at most 4, and a
+    # peel that gives ties to the longest direction gets stuck
+    w = WeightTriple(9, 10, 13)
+    monos = monomials_of_degree(w, 204)
+    assert len(monos) == 20 and mult._peeled_zero(w, monos, 6)
+    assert linalg.rank(mult.condition_matrix(w, monos, 6)[0]) == 20
+    # at mu = 0 there are no conditions: the unit vectors, with no elimination
+    for d in (0, 7, 30):
+        vecs, monos = mult.slice_kernel_vectors(WeightTriple(2, 3, 5), d, 0)
+        assert vecs == linalg.kernel_basis([], len(monos))
 
 
 @settings(max_examples=40, deadline=None)
