@@ -270,6 +270,16 @@ def chart_binomials(w):
     return out
 
 
+def _unit_binomial(f):
+    """The exponents (p, q) when f = +-(x^p - x^q) in K[x,y,z], else None."""
+    if f.variables != ("x", "y", "z") or len(f.terms) != 2:
+        return None
+    (p, cp), (q, cq) = f.terms.items()
+    if cp + cq != 0 or abs(cp) != 1:
+        return None
+    return p, q
+
+
 def _lattice_basis_binomials(w, f1, f2):
     """True iff f1, f2 are binomials x^p - x^q whose exponent differences have cross product +-w.
 
@@ -285,16 +295,67 @@ def _lattice_basis_binomials(w, f1, f2):
     """
     vecs = []
     for f in (f1, f2):
-        if f.variables != ("x", "y", "z") or len(f.terms) != 2:
+        exps = _unit_binomial(f)
+        if exps is None:
             return False
-        (p, cp), (q, cq) = f.terms.items()
-        if cp + cq != 0 or abs(cp) != 1:
-            return False
+        p, q = exps
         vecs.append([i - j for i, j in zip(p, q)])
     (u0, u1, u2), (v0, v1, v2) = vecs
     cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
     a, b, c = w.as_tuple()
     return cross in ((a, b, c), (-a, -b, -c))
+
+
+def _staircase_size(gens):
+    """Number of monomials y^j z^k outside the monomial ideal <y^j z^k : (j, k) in gens>.
+
+    None when it is infinite, that is unless a pure power of y and one of z
+    occur.  The minimal generators, sorted by rising j, have falling k; the
+    columns j_t <= j < j_(t+1) each hold k_t standard monomials.
+    """
+    stair = []
+    for j, k in sorted(gens):
+        if not stair or k < stair[-1][1]:
+            stair.append((j, k))
+    if stair[0][0] != 0 or stair[-1][1] != 0:
+        return None
+    return sum((j1 - j0) * k0 for (j0, k0), (j1, _) in zip(stair, stair[1:]))
+
+
+def _lattice_ideal_by_count(w, f1, f2, f3):
+    """True when a count certifies <f1,f2,f3> = I_L, the lattice ideal of L = {e : w.e = 0}.
+
+    Lemma.  Let w = (a, b, c) be pairwise coprime and I = <f1,f2,f3>, where
+    each f_i is a binomial x^p - x^q with coefficients 1 and -1 whose terms
+    have the same weighted degree (so p - q lies in L and I lies in I_L),
+    and suppose dim_K K[x,y,z]/(I + <x>) = a.  Then I = I_L.  Proof:
+    K[x,y,z]/I_L is the semigroup ring K[t^a, t^b, t^c] of H = <a, b, c>,
+    so K[x,y,z]/(I_L + <x>) has the basis t^h, h in the Apery set Ap(H, a),
+    of size a (Herzog, Manuscripta Math. 3, 1970).  I + <x> lies in
+    I_L + <x> and both quotients have dimension a, so the ideals are equal.
+    Take a homogeneous g in I_L and write g = i + x*h with i in I and h
+    homogeneous of lower degree.  Then x*h lies in I_L, which is prime and
+    does not contain x, so h lies in I_L; by induction on the degree (graded
+    Nakayama), g lies in I.
+
+    The count: when each f_i has exactly one x-free term y^j z^k, I + <x> is
+    <x> plus those monomials, and the dimension is `_staircase_size` of
+    their exponents.  Any other shape returns False, which proves nothing.
+    """
+    weights = w.as_tuple()
+    free = []
+    for f in (f1, f2, f3):
+        exps = _unit_binomial(f)
+        if exps is None:
+            return False
+        p, q = exps
+        if sum(u * e for u, e in zip(weights, p)) != sum(u * e for u, e in zip(weights, q)):
+            return False
+        x_free = [e[1:] for e in exps if e[0] == 0]
+        if len(x_free) != 1:
+            return False
+        free.extend(x_free)
+    return _staircase_size(free) == w.a
 
 
 def verify_presentation(w, pres):
@@ -307,9 +368,15 @@ def verify_presentation(w, pres):
     ideal of the point; (5) f4 lies in (I^2 : J^oo) but not in I^2.
     In (4), when f1 and f2 are binomials of a Z-basis of the point's
     lattice (`_lattice_basis_binomials`), <f1,f2> : (xyz)^oo is that
-    lattice ideal by theorem; otherwise the chart binomials are saturated
-    and compared.  In (5), I^2 is homogeneous, so f4 in I^2 is decided by
-    linear algebra in the one degree bc of f4 (`mult.in_ideal`).
+    lattice ideal I_L by theorem (Hosten-Sturmfels), and when moreover
+    f1, f2, f3 are binomials with dim K[x,y,z]/(<f1,f2,f3> + <x>) = a,
+    <f1,f2,f3> = I_L by the lemma of `_lattice_ideal_by_count`: then (4)
+    holds with no Groebner basis.  Otherwise <f1,f2> is saturated by xyz
+    and its basis compared with that of <f1,f2,f3>, and without the Z-basis
+    the chart binomials are saturated and compared too.  In (5), I^2 is
+    homogeneous, so f4 in I^2 is decided by linear algebra in the one
+    degree bc of f4 (`mult.in_ideal`); the multiplicity of f4 is the one
+    check (2) found for s4, computed afresh only if (2) skipped s4.
     """
     checks = []
     wt = WeightTriple(*pres.weights)
@@ -329,6 +396,7 @@ def verify_presentation(w, pres):
     )
 
     bad = []
+    multiplicities = {}
     for g in pres.generators:
         d, e = pres.degrees[g]
         if g not in pres.sections:
@@ -342,7 +410,7 @@ def verify_presentation(w, pres):
         if sec.weighted_degree(wt.as_tuple()) != d:
             bad.append(f"{g}: section degree mismatch")
             continue
-        actual = mult.rees_multiplicity(wt, sec)
+        actual = multiplicities[g] = mult.rees_multiplicity(wt, sec)
         if actual != pres.rees[g]:
             bad.append(f"{g}: section multiplicity {actual} != {pres.rees[g]}")
     checks.append(
@@ -373,18 +441,23 @@ def verify_presentation(w, pres):
 
     if pres.variant == "Mult2":
         f1, f2, f3, f4 = (pres.sections[s] for s in ("s1", "s2", "s3", "s4"))
-        xyz = SparsePoly.monomial(S, (1, 1, 1))
-        sat12 = groebner.saturate(groebner.Ideal(S, [f1, f2]), xyz)
-        gb123 = groebner.buchberger(groebner.Ideal(S, [f1, f2, f3]))
-        # a saturation's generators are its reduced basis, so comparing them
-        # with gb123's elements decides ideal equality
-        ok = sat12.generators == gb123.elements
-        if _lattice_basis_binomials(wt, f1, f2):
-            # then sat12 is the point lattice ideal itself
-            ok2 = ok
+        basis12 = _lattice_basis_binomials(wt, f1, f2)
+        if basis12 and _lattice_ideal_by_count(wt, f1, f2, f3):
+            # <f1,f2> : (xyz)^oo = I_L = <f1,f2,f3>, both by theorem
+            ok = ok2 = True
         else:
-            lattice = groebner.saturate(groebner.Ideal(S, chart_binomials(wt)), xyz)
-            ok2 = lattice.generators == gb123.elements
+            xyz = SparsePoly.monomial(S, (1, 1, 1))
+            sat12 = groebner.saturate(groebner.Ideal(S, [f1, f2]), xyz)
+            gb123 = groebner.buchberger(groebner.Ideal(S, [f1, f2, f3]))
+            # a saturation's generators are its reduced basis, so comparing
+            # them with gb123's elements decides ideal equality
+            ok = sat12.generators == gb123.elements
+            if basis12:
+                # then sat12 is the point lattice ideal itself
+                ok2 = ok
+            else:
+                lattice = groebner.saturate(groebner.Ideal(S, chart_binomials(wt)), xyz)
+                ok2 = lattice.generators == gb123.elements
         checks.append(
             CheckResult(
                 "lattice_ideal_saturation",
@@ -397,7 +470,9 @@ def verify_presentation(w, pres):
 
         sq_gens = [f1 * f1, f1 * f2, f1 * f3, f2 * f2, f2 * f3, f3 * f3]
         in_square = mult.in_ideal(wt, sq_gens, f4)
-        mu4 = mult.rees_multiplicity(wt, f4)
+        mu4 = multiplicities.get("s4")
+        if mu4 is None:
+            mu4 = mult.rees_multiplicity(wt, f4)
         checks.append(
             CheckResult(
                 "f4_between_powers",

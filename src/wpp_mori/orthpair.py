@@ -12,7 +12,7 @@ from typing import Optional
 
 from . import mult
 from .poly import SparsePoly, divides
-from .weights import ClassElement, intersection, monomials_of_degree
+from .weights import ClassElement, intersection
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,26 @@ def minimal_mu(d, abc):
     return mu
 
 
+def _in_semigroup(w, s):
+    """True iff s = a*i + b*j + c*k for some i, j, k >= 0; s >= 0.
+
+    A solution with i >= c gives one with i - c and k + a, so i < c
+    suffices.  For each i, the least j >= 0 with b*j = s - a*i mod c is
+    (s - a*i) * b^-1 mod c, and s - a*i is a member of <b, c> iff b*j is at
+    most s - a*i.
+    """
+    a, b, c = w.as_tuple()
+    b_inv = pow(b, -1, c)
+    for i in range(min(s // a, c - 1) + 1):
+        rest = s - a * i
+        if rest * b_inv % c * b <= rest:
+            return True
+    return False
+
+
 def _implied_zero(w, zeros, d):
     """True when d lies below a degree of zeros by an element of <a, b, c>."""
-    return any(monomials_of_degree(w, z - d) for z in zeros)
+    return any(_in_semigroup(w, z - d) for z in zeros)
 
 
 def find_f1(w, d_cap, tie_break="first"):

@@ -3,6 +3,10 @@
 import pytest
 
 import dataclasses
+from itertools import permutations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wpp_mori import cli, coxring, groebner, mult
 from wpp_mori.coxring import (
@@ -16,7 +20,7 @@ from wpp_mori.coxring import (
     verify_presentation,
 )
 from wpp_mori.poly import SparsePoly, parse_poly
-from wpp_mori.weights import WeightTriple
+from wpp_mori.weights import WeightTriple, monomials_of_degree
 
 XYZ = ("x", "y", "z")
 
@@ -184,17 +188,21 @@ def _saturation_basis(gens):
     return groebner.buchberger(groebner.saturate(groebner.Ideal(XYZ, gens), xyz)).elements
 
 
+
+
 def test_lattice_certificate_holds_for_every_mult2_triple():
     triples = list(_mult2_triples(40))
     assert len(triples) == 432
     for i, w in enumerate(triples):
         pres = mult2_presentation(w)
         wt = WeightTriple(*pres.weights)
-        f1, f2 = pres.sections["s1"], pres.sections["s2"]
+        f1, f2, f3 = (pres.sections[s] for s in ("s1", "s2", "s3"))
         assert coxring._lattice_basis_binomials(wt, f1, f2), w
+        assert coxring._lattice_ideal_by_count(wt, f1, f2, f3), w
         if i % 8 == 0:
-            # the theorem behind the certificate, on a sample
-            assert _saturation_basis([f1, f2]) == _saturation_basis(chart_binomials(wt)), w
+            # the theorems behind both certificates, on a sample
+            report = verify_presentation(wt, pres)
+            assert report.checks[3] == _lattice_check_by_saturation(wt, f1, f2, f3), w
 
 
 def test_lattice_certificate_negatives():
@@ -267,11 +275,115 @@ def test_corrupted_mult2_section_takes_the_saturation_fallback():
 
 
 def test_genuine_mult2_presentations_never_saturate_the_chart_binomials(monkeypatch):
-    def refuse(w):
-        raise AssertionError("chart binomials saturated")
+    def refuse(*args, **kwargs):
+        raise AssertionError("Groebner basis or chart binomials computed")
 
     monkeypatch.setattr(coxring, "chart_binomials", refuse)
+    monkeypatch.setattr(coxring.groebner, "saturate", refuse)
+    monkeypatch.setattr(coxring.groebner, "buchberger", refuse)
     for triple in MULT2_SMALL:
         w = WeightTriple(*triple)
         report = verify_presentation(w, mult2_presentation(w))
         assert report.ok, (triple, [c_.detail for c_ in report.failures()])
+
+
+# -- the count certificate <f1,f2,f3> = I_L --
+
+
+def test_count_certificate_is_closed_form_for_large_weights():
+    # a loop over the staircase would take about b*c/4 = 2.5e7 steps here
+    cls = classify(WeightTriple(10001, 10002, 10003))
+    assert cls.reordering == (10002, 10001, 10003) and (cls.n, cls.m) == (1, 1)
+    w = WeightTriple(*cls.reordering)
+    f1, f2, f3, _ = mult2_fs(cls)
+    assert coxring._lattice_ideal_by_count(w, f1, f2, f3)
+    # x-free terms y*z, y^P, z^Q with P = (c+n)/2, Q = (b+m)/2: PQ - (P-n)(Q-m) = a
+    p, q = 5002, 5001
+    assert coxring._staircase_size([(1, 1), (p, 0), (0, q)]) == p * q - (p - 1) * (q - 1) == 10002
+    # (2, 3) is not a minimal generator: y^2 z^3 is a multiple of y z
+    assert coxring._staircase_size([(0, q), (p + 1, 0), (1, 1), (2, 3)]) == 10003
+    assert coxring._staircase_size([(1, 1), (p, 0)]) is None
+    assert coxring._staircase_size([(1, 1), (0, q)]) is None
+
+
+def test_corrupted_s3_fails_the_count_and_takes_the_fallback(monkeypatch):
+    w = WeightTriple(7, 3, 11)
+    pres = mult2_presentation(w)
+    x, y, z = (pres.sections[v] for v in XYZ)
+    f1, f2, f3 = (pres.sections[s] for s in ("s1", "s2", "s3"))
+    assert coxring._lattice_basis_binomials(w, f1, f2)
+    saturations = []
+    saturate = groebner.saturate
+
+    def spy(*args):
+        saturations.append(args)
+        return saturate(*args)
+
+    monkeypatch.setattr(coxring.groebner, "saturate", spy)
+    # x*y^4 - z^2 has the x-free terms of f3 but is inhomogeneous, so it is not in I_L;
+    # verify_presentation raises on it in check (5), so only the certificate is asked
+    assert not coxring._lattice_ideal_by_count(w, f1, f2, P("x*y^4 - z^2"))
+    for bad in (
+        x * f3,  # no x-free term
+        z * f3,  # x-free terms y*z, y^6, z^3: dim K[x,y,z]/(I + <x>) = 8 > a = 7
+        f3 * SparsePoly.constant(XYZ, 2),  # coefficients 2 and -2
+        # three terms; S_22 holds only x*y^5 and z^2, so f3 + x*y*z^k is inhomogeneous
+        y ** 7 * f3 + x * y * z ** 3,
+    ):
+        assert not coxring._lattice_ideal_by_count(w, f1, f2, bad), bad
+        saturations.clear()
+        corrupt = dataclasses.replace(pres, sections=dict(pres.sections, s3=bad))
+        check = verify_presentation(w, corrupt).checks[3]
+        assert saturations, bad
+        assert check == _lattice_check_by_saturation(w, f1, f2, bad), bad
+
+
+def test_count_needs_one_x_free_term_per_binomial():
+    # counting every x-free monomial gives the staircase z^4, y*z^3, y^2 of 7 = a monomials,
+    # but two binomials are x-free, so I + <x> is not a monomial ideal and I is not I_L
+    w = WeightTriple(7, 2, 1)
+    fs = [P("x*y - y^3*z^3"), P("y^2 - z^4"), P("y^2*z - y*z^3")]
+    assert coxring._staircase_size([(3, 3), (2, 0), (0, 4), (2, 1), (1, 3)]) == 7
+    assert not coxring._lattice_ideal_by_count(w, *fs)
+    assert groebner.buchberger(groebner.Ideal(XYZ, fs)).elements != _saturation_basis(
+        chart_binomials(w)
+    )
+
+
+ORDERED_TRIPLES = [p for t in cli.coprime_triples(13) for p in permutations(t)]
+
+
+@st.composite
+def x_free_binomials(draw):
+    """A weight triple and three binomials x-monomial - (x-free monomial) of equal degrees.
+
+    The x-free monomials are y^J, z^K and y^j z^k with J, K <= a + 1, so
+    that a staircase of a monomials is within reach.
+    """
+    w = WeightTriple(*draw(st.sampled_from(ORDERED_TRIPLES)))
+
+    def partners(e):
+        return [m for m in monomials_of_degree(w, w.b * e[1] + w.c * e[2]) if m[0]]
+
+    def binomial(choices):
+        assume(choices)
+        e = draw(st.sampled_from(choices))
+        m = draw(st.sampled_from(partners(e)))
+        return SparsePoly.monomial(XYZ, m) - SparsePoly.monomial(XYZ, e), e
+
+    bound = range(1, w.a + 2)
+    f2, (_, j_max, _) = binomial([(0, j, 0) for j in bound if partners((0, j, 0))])
+    f3, (_, _, k_max) = binomial([(0, 0, k) for k in bound if partners((0, 0, k))])
+    f1, _ = binomial(
+        [(0, j, k) for j in range(j_max + 1) for k in range(k_max + 1) if partners((0, j, k))]
+    )
+    return w, draw(st.permutations([f1, f2, f3]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(x_free_binomials())
+def test_count_certificate_implies_the_lattice_ideal(case):
+    w, fs = case
+    if coxring._lattice_ideal_by_count(w, *fs):
+        basis = groebner.buchberger(groebner.Ideal(XYZ, fs)).elements
+        assert basis == _saturation_basis(chart_binomials(w))
