@@ -85,13 +85,12 @@ def classify(w):
     kstar = []
     for i in range(3):
         a = weights[i]
-        rest = sorted(weights[:i] + weights[i + 1:])
-        b, c = rest
-        if monoid_member(a, b, c):
-            kstar.append((a, b, c))
+        b, c = sorted(weights[:i] + weights[i + 1:])
+        witness = monoid_member(a, b, c)
+        if witness is not None:
+            kstar.append((a, b, c, *witness))
     if kstar:
-        a, b, c = min(kstar)
-        alpha, beta = _monoid_witness(a, b, c)
+        a, b, c, alpha, beta = min(kstar)
         return TripleClass("KStar", reordering=(a, b, c), alpha=alpha, beta=beta)
     best = None
     for a, b, c in permutations(weights):
@@ -110,15 +109,6 @@ def classify(w):
         a, n, b, c, m = best
         return TripleClass("Mult2", reordering=(a, b, c), n=n, m=m)
     return TripleClass("Other")
-
-
-def _monoid_witness(a, b, c):
-    """Smallest alpha with a = alpha*b + beta*c, beta >= 0."""
-    for alpha in range(a // b + 1):
-        rem = a - alpha * b
-        if rem % c == 0:
-            return alpha, rem // c
-    raise AssertionError("monoid membership witness vanished")
 
 
 def _half(value, what):
@@ -376,7 +366,9 @@ def verify_presentation(w, pres):
     the chart binomials are saturated and compared too.  In (5), I^2 is
     homogeneous, so f4 in I^2 is decided by linear algebra in the one
     degree bc of f4 (`mult.in_ideal`); the multiplicity of f4 is the one
-    check (2) found for s4, computed afresh only if (2) skipped s4.
+    check (2) found for s4, computed afresh only if (2) skipped s4.  When a
+    section s1-s4 is not weighted-homogeneous, (5) fails without either
+    computation.
     """
     checks = []
     wt = WeightTriple(*pres.weights)
@@ -468,18 +460,27 @@ def verify_presentation(w, pres):
             )
         )
 
-        sq_gens = [f1 * f1, f1 * f2, f1 * f3, f2 * f2, f2 * f3, f3 * f3]
-        in_square = mult.in_ideal(wt, sq_gens, f4)
-        mu4 = multiplicities.get("s4")
-        if mu4 is None:
-            mu4 = mult.rees_multiplicity(wt, f4)
-        checks.append(
-            CheckResult(
+        inhomogeneous = [
+            s for s, f in zip(("s1", "s2", "s3", "s4"), (f1, f2, f3, f4))
+            if f.weighted_degree(wt.as_tuple()) is None
+        ]
+        if inhomogeneous:
+            # I^2 and the multiplicity of f4 are taken for forms only
+            check = CheckResult(
+                "f4_between_powers", False, f"not weighted-homogeneous: {', '.join(inhomogeneous)}"
+            )
+        else:
+            sq_gens = [f1 * f1, f1 * f2, f1 * f3, f2 * f2, f2 * f3, f3 * f3]
+            in_square = mult.in_ideal(wt, sq_gens, f4)
+            mu4 = multiplicities.get("s4")
+            if mu4 is None:
+                mu4 = mult.rees_multiplicity(wt, f4)
+            check = CheckResult(
                 "f4_between_powers",
                 (not in_square) and mu4 == 2,
                 f"f4 multiplicity {mu4}, in I^2: {in_square}",
             )
-        )
+        checks.append(check)
     return VerificationReport(checks)
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter, lshift
 
-from .poly import SparsePoly, block_key, grevlex_key
+from .poly import SparsePoly, grevlex_key
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -31,30 +31,30 @@ class Ideal:
                 raise ValueError("generator outside the stated ring")
 
 
-def _block_spans(n, key):
-    """(start, end) of each grevlex block of the order `key` on n variables, first block first."""
-    heads = getattr(key, "blocks", None)
-    if heads is None:
-        raise ValueError(f"unsupported monomial order {key!r}: use grevlex_key or block_key")
-    spans, start = [], 0
-    for size in heads + (n,):
-        end = min(start + size, n)
-        if end > start:
-            spans.append((start, end))
-            start = end
-    return spans
+def _order_key(elim):
+    """Sort key of the monomial order `elim` (larger key = larger monomial).
+
+    Every order here is given by `elim`, the size of a leading grevlex block:
+    the first `elim` variables form it and one grevlex block takes the rest,
+    so a monomial containing a leading variable beats every monomial free of
+    them (an elimination order).  elim = 0 is grevlex.
+    """
+    return lambda exp: (grevlex_key(exp[:elim]), grevlex_key(exp[elim:]))
+
+
+def _block_spans(n, elim):
+    """(start, end) of each grevlex block of the order `elim` on n variables, first block first."""
+    head = min(elim, n)
+    return [(s, e) for s, e in ((0, head), (head, n)) if e > s]
 
 
 @dataclass
 class GroebnerBasis:
     variables: tuple
     elements: list
-    key: object = field(default=grevlex_key, repr=False)
+    elim: int = 0
     # (packing, packed integer elements) of `elements`, built by the first normal_form
     _int: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _block_spans(len(self.variables), self.key)
 
     def dimension(self):
         """Krull dimension of the quotient ring by the basis's ideal, or None for the unit ideal.
@@ -64,9 +64,9 @@ class GroebnerBasis:
         if any(g.is_constant() and not g.is_zero() for g in self.elements):
             return None
         n = len(self.variables)
+        key = _order_key(self.elim)
         supports = [
-            frozenset(i for i, e in enumerate(g.leading(self.key)[0]) if e)
-            for g in self.elements
+            frozenset(i for i, e in enumerate(max(g.terms, key=key)) if e) for g in self.elements
         ]
         for size in range(n, -1, -1):
             for subset in combinations(range(n), size):
@@ -90,7 +90,7 @@ class _Packing:
     deg * B^m - sum(x_i * B^i) on m + 1 digits, and the blocks are
     concatenated with the first block most significant.  The int K of a
     monomial is additive, K(a + b) = K(a) + K(b), and while every block
-    degree stays below 2^(w-1), K orders monomials exactly as the tuple key
+    degree stays below 2^(w-1), K orders monomials exactly as `_order_key`
     does.  unpack(K) is the packed exponent vector P: one field per variable,
     the degree digits zero.  On P, a divides b iff (P_b - P_a) & guard == 0,
     and the lcm is a select by guard bits (Monagan-Pearce, CASC 2007;
@@ -101,7 +101,7 @@ class _Packing:
     still compares exactly; a popped term at the limit raises _Widen.
     """
 
-    def __init__(self, n, key, w):
+    def __init__(self, n, elim, w):
         self.w = w
         self.limit = 1 << (w - 2)
         self.mask = (1 << w) - 1
@@ -110,7 +110,7 @@ class _Packing:
         self.sums = []  # (bit offset, field mask, digit-sum multiplier, shift, degree offset)
         self.ones = self.top = self.high = self.guard = 0
         digit = 0
-        for s, e in reversed(_block_spans(n, key)):
+        for s, e in reversed(_block_spans(n, elim)):
             m = e - s
             for i in range(s, e):
                 self.shifts[i] = (digit + i - s) * w
@@ -233,7 +233,7 @@ def normal_form(f, gb):
     w = _first_width([f])
     while True:
         if gb._int is None or gb._int[0].w < w:
-            pk = _Packing(len(gb.variables), gb.key, max(w, _first_width(gb.elements)))
+            pk = _Packing(len(gb.variables), gb.elim, max(w, _first_width(gb.elements)))
             gb._int = pk, [_element(_integer_terms(h, pk)[1], pk) for h in gb.elements]
         pk, basis = gb._int
         den, g = _integer_terms(f, pk)
@@ -300,10 +300,10 @@ def _update_pairs(basis, pairs, pair_info, pk):
     return kept
 
 
-def buchberger(ideal, key=grevlex_key, step_budget=DEFAULT_BUDGET, start=None):
-    """Reduced Groebner basis of the ideal under the given monomial order.
+def buchberger(ideal, elim=0, step_budget=DEFAULT_BUDGET, start=None):
+    """Reduced Groebner basis of the ideal under the order `elim` (0: grevlex).
 
-    With `start`, a complete reduced basis under `key` in the ideal's ring,
+    With `start`, a complete reduced basis under `elim` in the ideal's ring,
     the result is the reduced basis of the ideal generated by start and the
     ideal's generators.  The run starts from start's elements with no
     pending S-pairs, since every S-pair of a Groebner basis reduces to 0
@@ -314,13 +314,13 @@ def buchberger(ideal, key=grevlex_key, step_budget=DEFAULT_BUDGET, start=None):
     """
     base = []
     if start is not None:
-        if start.variables != ideal.variables or start.key is not key:
+        if start.variables != ideal.variables or start.elim != elim:
             raise ValueError("start basis in another ring or under another order")
         base = start.elements
     gens = [g for g in ideal.generators if not g.is_zero()]
     w = _first_width(base + gens)
     while True:
-        pk = _Packing(len(ideal.variables), key, w)
+        pk = _Packing(len(ideal.variables), elim, w)
         try:
             elements = _buchberger(base, gens, pk, step_budget)
             break
@@ -328,7 +328,7 @@ def buchberger(ideal, key=grevlex_key, step_budget=DEFAULT_BUDGET, start=None):
             w *= 2
     return GroebnerBasis(ideal.variables, [
         SparsePoly._trusted(ideal.variables, terms) for terms in elements
-    ], key)
+    ], elim)
 
 
 def _buchberger(base, gens, pk, step_budget):
@@ -343,13 +343,24 @@ def _buchberger(base, gens, pk, step_budget):
     pairs = set()
     pair_info = {}  # pair -> (K, P) of its lcm, for the pairs in `pairs`
     steps = 0
+    guard = pk.guard
+    # Reduction uses the elements whose lead no later lead divides, in basis
+    # order (as GROEBNERNEWS2 does, Becker-Weispfenning, "Groebner Bases",
+    # p. 232).  Their leads generate the same monomial ideal as all the
+    # leads, so a remainder by them is a remainder by the whole basis; the
+    # dropped elements stay in `basis` for their pairs.  Reducing by the
+    # dropped elements too swells the coefficients: on the quotient pinned by
+    # an example of the extension property test, past 10^5 bits.
+    reducers = list(basis)
 
     def add(p):
-        basis.append(_element(p, pk))
+        new = _element(p, pk)
+        basis.append(new)
+        reducers[:] = [b for b in reducers if (b[2] - new[2]) & guard] + [new]
         return _update_pairs(basis, pairs, pair_info, pk)
 
     for g in gens:
-        r, _ = _reduce(g, basis, pk)
+        r, _ = _reduce(g, reducers, pk)
         if r:
             pairs = add(_primitive(r))
 
@@ -361,14 +372,13 @@ def _buchberger(base, gens, pk, step_budget):
         steps += 1
         if steps > step_budget:
             raise StepBudgetExceeded(f"pair-reduction budget {step_budget} exhausted")
-        r, _ = _reduce(_spoly(basis[i], basis[j], lk), basis, pk)
+        r, _ = _reduce(_spoly(basis[i], basis[j], lk), reducers, pk)
         if r:
             pairs = add(_primitive(r))
 
     # minimalize: a lead is divisible only by leads not above it, so one pass
     # in ascending order keeps each element unless a kept lead divides its
     # lead (of equal leads the first is kept, the sort being stable)
-    guard = pk.guard
     minimal = []
     for b in sorted(basis, key=itemgetter(1)):
         if all((b[2] - c[2]) & guard for c in minimal):
@@ -392,7 +402,7 @@ def ideal_member(f, gb):
 
 
 def _tagged_basis(ideal, f, tagged, step_budget):
-    """Reduced `block_key(1)` basis of tagged generators, with a fresh tag w in front.
+    """Reduced elimination basis (`elim` = 1) of tagged generators, with a fresh tag w in front.
 
     `tagged(gens, f, w, one)` builds the generators from the ideal's
     generators, f, w and 1, all lifted to the ring (w,) + ideal.variables.
@@ -405,17 +415,12 @@ def _tagged_basis(ideal, f, tagged, step_budget):
         SparsePoly.variable(ring, tag),
         SparsePoly.constant(ring, 1),
     )
-    return buchberger(Ideal(ring, gens), key=block_key(1), step_budget=step_budget)
+    return buchberger(Ideal(ring, gens), elim=1, step_budget=step_budget)
 
 
 def _tag_free(gb, variables):
     """Elements of a tagged basis free of the tag, in the basis order, back in `variables`."""
-    mapping = {v: v for v in variables}
-    return [
-        g.rename_ring(variables, mapping)
-        for g in gb.elements
-        if all(exp[0] == 0 for exp in g.terms)
-    ]
+    return [g.rename_ring(variables) for g in gb.elements if all(exp[0] == 0 for exp in g.terms)]
 
 
 def saturate(ideal, f, step_budget=DEFAULT_BUDGET):
@@ -456,7 +461,7 @@ class Quotient(Ideal):
         w = SparsePoly.variable(ring, ring[0])
         tagged = buchberger(
             Ideal(ring, [w * g.rename_ring(ring) for g in gens]),
-            key=self.tagged.key,
+            elim=self.tagged.elim,
             step_budget=step_budget,
             start=self.tagged,
         )

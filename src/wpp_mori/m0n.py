@@ -185,8 +185,9 @@ def search_weights(r, bound):
     """All pairwise coprime positive (a,b,c) with max <= bound killing the images.
 
     The image matrix has rank 2, so its integer kernel is spanned by one
-    primitive vector (the cross product of the rows); solutions are its
-    positive multiples, filtered for pairwise coprimality.
+    primitive vector k (the cross product of the rows); solutions are its
+    positive multiples.  Any two entries of lam * k share the factor lam,
+    so only k itself can be pairwise coprime.
     """
     m = quotient_images(r)
     r1, r2 = m
@@ -201,13 +202,7 @@ def search_weights(r, bound):
     k = tuple(x // g for x in cross)
     if all(x < 0 for x in k):
         k = tuple(-x for x in k)
-    if not all(x > 0 for x in k):
-        return []
-    out = []
-    lam = 1
-    while lam * max(k) <= bound:
-        a, b, c = (lam * x for x in k)
-        if gcd(a, b) == 1 and gcd(b, c) == 1 and gcd(a, c) == 1:
-            out.append((a, b, c))
-        lam += 1
-    return out
+    a, b, c = k
+    if min(k) > 0 and max(k) <= bound and gcd(a, b) == gcd(b, c) == gcd(a, c) == 1:
+        return [k]
+    return []

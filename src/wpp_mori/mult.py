@@ -9,6 +9,7 @@ condition matrices give the graded pieces of the symbolic powers I^mu : J^oo.
 from functools import lru_cache
 from itertools import count, islice
 from math import gcd, isqrt
+from operator import mul
 
 from . import linalg
 from .poly import SparsePoly
@@ -17,24 +18,8 @@ from .weights import monomials_of_degree
 XYZ = ("x", "y", "z")
 
 
-def _inverse_unimodular_3x3(v):
-    det = (
-        v[0][0] * (v[1][1] * v[2][2] - v[1][2] * v[2][1])
-        - v[0][1] * (v[1][0] * v[2][2] - v[1][2] * v[2][0])
-        + v[0][2] * (v[1][0] * v[2][1] - v[1][1] * v[2][0])
-    )
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    cof = [
-        [
-            (v[(i + 1) % 3][(j + 1) % 3] * v[(i + 2) % 3][(j + 2) % 3]
-             - v[(i + 1) % 3][(j + 2) % 3] * v[(i + 2) % 3][(j + 1) % 3])
-            for j in range(3)
-        ]
-        for i in range(3)
-    ]
-    # inverse = adj / det; adj = cofactor transpose; det = 1/det for units
-    return [[cof[j][i] * det for j in range(3)] for i in range(3)]
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _short_directions(a, b, c):
@@ -75,21 +60,16 @@ def _chart(a, b, c):
     d, u, v = linalg.smith_normal_form([[a, b, c]])
     if d[0][0] != 1:
         raise ValueError("weights are not coprime")
-    vinv = _inverse_unimodular_3x3(v)
-    # columns 1,2 of v form a basis of the weight-zero sublattice; the
-    # coordinate map onto that basis is rows 1,2 of v^{-1}.
-    basis = [tuple(v[i][1] for i in range(3)), tuple(v[i][2] for i in range(3))]
-    chart_map = [tuple(vinv[1]), tuple(vinv[2])]
-    for i in range(2):
-        for j in range(2):
-            dot = sum(chart_map[i][k] * basis[j][k] for k in range(3))
-            if dot != (1 if i == j else 0):
-                raise AssertionError("chart map does not invert the kernel basis")
+    # columns c1, c2 of the unimodular v form a basis of the weight-zero
+    # sublattice; the coordinate map onto that basis is rows 1, 2 of v^{-1},
+    # which by the adjugate formula are (c2 x c0) / det and (c0 x c1) / det,
+    # with det = c0 . (c1 x c2) = +-1
+    c0, c1, c2 = zip(*v)
+    det = sum(map(mul, c0, _cross(c1, c2)))
+    chart_map = [tuple(det * x for x in _cross(c2, c0)), tuple(det * x for x in _cross(c0, c1))]
     # the lines of direction t in a degree are the level sets of the normal t x (a, b, c)
-    normals = [
-        (y * c - z * b, z * a - x * c, x * b - y * a) for x, y, z in _short_directions(a, b, c)
-    ]
-    return chart_map, basis, normals
+    normals = [_cross(t, (a, b, c)) for t in _short_directions(a, b, c)]
+    return chart_map, [c1, c2], normals
 
 
 def chart_kernel_basis(w):

@@ -16,22 +16,6 @@ def grevlex_key(exp):
     return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
-# Each order key states its block structure for the Groebner kernel, which
-# packs monomials by it: `blocks` holds the sizes of the leading grevlex
-# blocks, and one last grevlex block takes the remaining variables.
-grevlex_key.blocks = ()
-
-
-def block_key(head):
-    """Elimination order: grevlex on the first `head` variables, then grevlex on the rest."""
-
-    def key(exp):
-        return (grevlex_key(exp[:head]), grevlex_key(exp[head:]))
-
-    key.blocks = (head,)
-    return key
-
-
 def _integer_terms(p):
     """(den, terms) with p = terms / den and int coefficients."""
     den = lcm(*(c.denominator for c in p.terms.values()))
@@ -188,11 +172,11 @@ class SparsePoly:
 
     # -- structure --------------------------------------------------------
 
-    def leading(self, key=grevlex_key):
-        """(exponent, coefficient) of the leading term under the given order."""
+    def leading(self):
+        """(exponent, coefficient) of the grevlex leading term."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=key)
+        exp = max(self.terms, key=grevlex_key)
         return exp, self.terms[exp]
 
     def monic(self):
@@ -254,28 +238,23 @@ class SparsePoly:
 
     # -- ring changes -----------------------------------------------------
 
-    def rename_ring(self, variables, mapping=None):
-        """Move to a ring with different variables; old variables map by name.
+    def rename_ring(self, variables):
+        """Move to a ring with different variables, each variable kept by name.
 
-        Several old variables may map to one new variable: their exponents
-        add, and so do the coefficients of terms that then coincide.
+        A variable missing from the new ring may only occur with exponent 0.
         """
         variables = tuple(variables)
-        mapping = mapping or {v: v for v in self.variables}
-        idx = {}
-        for old, new in mapping.items():
-            idx[self.variables.index(old)] = variables.index(new)
+        idx = [variables.index(v) if v in variables else None for v in self.variables]
         terms = {}
         for exp, c in self.terms.items():
             new_exp = [0] * len(variables)
-            for i, e in enumerate(exp):
+            for v, i, e in zip(self.variables, idx, exp):
                 if e:
-                    if i not in idx:
-                        raise ValueError(f"variable {self.variables[i]} has no image")
-                    new_exp[idx[i]] += e
-            new_exp = tuple(new_exp)
-            terms[new_exp] = terms[new_exp] + c if new_exp in terms else c
-        return SparsePoly(variables, terms)
+                    if i is None:
+                        raise ValueError(f"variable {v} is not in {variables}")
+                    new_exp[i] = e
+            terms[tuple(new_exp)] = c
+        return SparsePoly._trusted(variables, terms)
 
     def substitute(self, assignment):
         """Substitute polynomials for variables; all images share one ring.

@@ -118,16 +118,13 @@ def initial_basis(instance, mults):
     """B_0 = {t^{m_i} s_i - f_i} in the extended ring, plus that ring and names."""
     k = len(instance.ideal_gens)
     ring, s_names = _rees_ring(instance, k)
-    mapping = {v: v for v in instance.variables}
     basis = []
     nvars = len(instance.variables)
     for i, (f, m) in enumerate(zip(instance.ideal_gens, mults)):
         exp = [0] * len(ring)
         exp[nvars + i] = 1
         exp[-1] = m
-        basis.append(
-            SparsePoly.monomial(ring, exp) - f.rename_ring(ring, mapping)
-        )
+        basis.append(SparsePoly.monomial(ring, exp) - f.rename_ring(ring))
     return ring, s_names, basis
 
 
@@ -188,9 +185,8 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
             warnings.append(f"generator {f} does not vanish at the point")
     ring, s_names, basis = initial_basis(instance, mults)
     degree_map = _degree_map(instance, mults, s_names)
-    mapping = {v: v for v in instance.variables}
     t_poly = SparsePoly.variable(ring, "t")
-    f_poly = instance.product.rename_ring(ring, mapping)
+    f_poly = instance.product.rename_ring(ring)
     dim_r1 = len(instance.variables)
     trace = []
 

@@ -76,13 +76,14 @@ def coprime_triples(c_max):
 
 
 def monoid_member(n, p, q):
-    """True iff n = alpha*p + beta*q for some non-negative integers alpha, beta."""
+    """(alpha, beta) of least alpha with n = alpha*p + beta*q, both non-negative, or None."""
     if p < 1 or q < 1:
         raise ValueError("monoid generators must be positive")
     for alpha in range(n // p + 1):
-        if (n - alpha * p) % q == 0:
-            return True
-    return False
+        beta, r = divmod(n - alpha * p, q)
+        if not r:
+            return alpha, beta
+    return None
 
 
 def intersection(w, u, v):

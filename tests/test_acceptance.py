@@ -168,7 +168,7 @@ def test_criterion_07_lattice_reduction_fixture():
 def _standard_monomial_dims(w, gens, d_max):
     """dim of the ideal's degree-d slices from the leading monomials of its basis."""
     gb = groebner.buchberger(Ideal(XYZ, gens))
-    leads = [g.leading(gb.key)[0] for g in gb.elements]
+    leads = [g.leading()[0] for g in gb.elements]
     for g in gb.elements:
         assert g.weighted_degree(w.as_tuple()) is not None
     dims = []

@@ -1,11 +1,13 @@
 """Every public top-level function and class of the package, and every public
-method or property of a public class, has a caller in the package, and the
-package imports nothing outside the standard library.
+method or property of a public class, has a caller in the package; every
+defaulted parameter of those functions and methods is set by a caller in the
+package; and the package imports nothing outside the standard library.
 
 A public name whose only caller is its own unit test is dead weight: it has to
-be kept correct and documented but serves no command.  The few names below are
-kept because an acceptance criterion, the tests' oracles or diagnostics, or the
-benchmark's own tests call them.
+be kept correct and documented but serves no command.  So is an option that no
+caller sets.  The few names and options below are kept because an acceptance
+criterion, the tests' oracles or diagnostics, or the benchmark's own tests use
+them.
 """
 
 import ast
@@ -26,6 +28,12 @@ ALLOWED_UNCALLED = {
     "poly.SparsePoly.evaluate": "the tests' check that sections vanish at [1,1,1]",
 }
 
+ALLOWED_UNSET = {
+    "orthpair.mds_test(tie_break)": "acceptance criterion 9 (tie-break independence)",
+    "groebner.saturate(step_budget)": "the pinned step-count tests",
+    "cli.main(argv)": "the tests drive the CLI in-process",
+}
+
 
 def _names(node):
     """How often each name is used inside a syntax tree."""
@@ -40,9 +48,8 @@ def _names(node):
     return names
 
 
-def test_every_public_definition_has_a_caller_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    used = sum((_names(tree) for tree in trees.values()), Counter())
+def _public(trees):
+    """(qualified name, node) of each public class and function, and of their public methods."""
     public = [
         (f"{module}.{node.name}", node)
         for module, tree in trees.items()
@@ -56,6 +63,17 @@ def test_every_public_definition_has_a_caller_in_the_package():
         for method in node.body
         if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
     ]
+    return public
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    trees = _trees()
+    used = sum((_names(tree) for tree in trees.values()), Counter())
+    public = _public(trees)
     uncalled = [
         name
         for name, node in public
@@ -64,6 +82,43 @@ def test_every_public_definition_has_a_caller_in_the_package():
     ]
     # an allowed name that gains a caller leaves the list, so the list stays exact
     assert sorted(uncalled) == sorted(ALLOWED_UNCALLED)
+
+
+def _sets(call, name, index, param):
+    """True iff the call is to `name` and sets `param`, by keyword or as positional `index`."""
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) != name:
+        return False
+    # a **mapping or *sequence argument may set any parameter
+    return (
+        any(kw.arg in (param, None) for kw in call.keywords)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or (index is not None and len(call.args) > index)
+    )
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_in_the_package():
+    trees = _trees()
+    calls = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    unset = []
+    for name, node in _public(trees):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        # a method's caller passes self or cls implicitly
+        bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        first = len(positional) - len(args.defaults)
+        defaulted = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+        defaulted += [
+            (p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+        ]
+        unset += [
+            f"{name}({param})"
+            for param, index in defaulted
+            if not any(_sets(call, node.name, index, param) for call in calls)
+        ]
+    # an allowed option that gains a caller leaves the list, so the list stays exact
+    assert sorted(unset) == sorted(ALLOWED_UNSET)
 
 
 def test_runtime_imports_are_stdlib_only():

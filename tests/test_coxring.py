@@ -306,6 +306,24 @@ def test_count_certificate_is_closed_form_for_large_weights():
     assert coxring._staircase_size([(1, 1), (0, q)]) is None
 
 
+def test_inhomogeneous_section_fails_the_f4_check_without_computing_it(monkeypatch):
+    w = WeightTriple(7, 3, 11)
+    pres = mult2_presentation(w)
+    x, y, z = (pres.sections[v] for v in XYZ)
+
+    def refuse(*args):
+        raise AssertionError("I^2 membership or f4 multiplicity computed")
+
+    monkeypatch.setattr(coxring.mult, "in_ideal", refuse)
+    for name, bad in (("s3", pres.sections["s3"] + x * y * z), ("s4", pres.sections["s4"] + x)):
+        corrupt = dataclasses.replace(pres, sections=dict(pres.sections, **{name: bad}))
+        report = verify_presentation(w, corrupt)
+        failed = [ch.name for ch in report.failures()]
+        assert "rees_multiplicities" in failed and "f4_between_powers" in failed, (name, failed)
+        assert f"{name}: section degree mismatch" in report.checks[1].detail
+        assert report.checks[4].detail == f"not weighted-homogeneous: {name}"
+
+
 def test_corrupted_s3_fails_the_count_and_takes_the_fallback(monkeypatch):
     w = WeightTriple(7, 3, 11)
     pres = mult2_presentation(w)
@@ -320,8 +338,7 @@ def test_corrupted_s3_fails_the_count_and_takes_the_fallback(monkeypatch):
         return saturate(*args)
 
     monkeypatch.setattr(coxring.groebner, "saturate", spy)
-    # x*y^4 - z^2 has the x-free terms of f3 but is inhomogeneous, so it is not in I_L;
-    # verify_presentation raises on it in check (5), so only the certificate is asked
+    # x*y^4 - z^2 has the x-free terms of f3 but is inhomogeneous, so it is not in I_L
     assert not coxring._lattice_ideal_by_count(w, f1, f2, P("x*y^4 - z^2"))
     for bad in (
         x * f3,  # no x-free term

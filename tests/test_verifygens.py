@@ -190,7 +190,7 @@ def _from_scratch_certificate(instance, discovery_budget=25):
     ring, s_names, basis = initial_basis(instance, mults)
     degree_map = verifygens._degree_map(instance, mults, s_names)
     t = SparsePoly.variable(ring, "t")
-    f = instance.product.rename_ring(ring, {v: v for v in instance.variables})
+    f = instance.product.rename_ring(ring)
 
     def sort_key(p):
         deg = p.multi_degree(degree_map)

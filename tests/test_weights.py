@@ -63,11 +63,12 @@ def test_monoid_member_brute_force():
     for p in range(1, 8):
         for q in range(1, 8):
             for n in range(0, 40):
-                expected = any(
-                    (n - alpha * p) % q == 0
-                    for alpha in range(n // p + 1)
-                )
-                assert monoid_member(n, p, q) == expected
+                alphas = [alpha for alpha in range(n // p + 1) if (n - alpha * p) % q == 0]
+                witness = monoid_member(n, p, q)
+                assert (witness is not None) == bool(alphas)
+                if witness is not None:
+                    alpha, beta = witness
+                    assert alpha == min(alphas) and beta >= 0 and alpha * p + beta * q == n
 
 
 def test_intersection_form():
