@@ -182,6 +182,7 @@ def load_records(path):
     if not path.exists():
         return records
     lines = path.read_bytes().splitlines(keepends=True)
+    decode = json.JSONDecoder().decode
     partial = None  # (line number, byte offset) of an unparsable line
     offset = 0
     for n, line in enumerate(lines, 1):
@@ -191,10 +192,15 @@ def load_records(path):
         if partial is not None:
             raise InputError(f"{path}: line {partial[0]}: unparsable scan record")
         try:
-            rec = json.loads(line)
+            rec = decode(line.decode())
         except ValueError:
-            partial = (n, start)
-            continue
+            # json.loads decides what the fast path refuses: a BOM, another
+            # encoding, bytes that are not UTF-8, a line cut short
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                partial = (n, start)
+                continue
         try:
             if rec["verdict"] != "Error":
                 records[(rec["a"], rec["b"], rec["c"], rec["mu_cap"])] = rec

@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import itemgetter, lshift
+from operator import itemgetter, lshift, mul, neg
 
-from .poly import SparsePoly, grevlex_key
+from .poly import SparsePoly
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -31,47 +31,101 @@ class Ideal:
                 raise ValueError("generator outside the stated ring")
 
 
-def _order_key(elim):
-    """Sort key of the monomial order `elim` (larger key = larger monomial).
+def _order_key(elim, weights=None):
+    """Sort key of the monomial order (`elim`, `weights`) (larger key = larger monomial).
 
-    Every order here is given by `elim`, the size of a leading grevlex block:
-    the first `elim` variables form it and one grevlex block takes the rest,
-    so a monomial containing a leading variable beats every monomial free of
-    them (an elimination order).  elim = 0 is grevlex.
+    Every order here is given by `elim`, the size of a leading block, and
+    `weights`, a positive int per variable (None: all ones).  The first
+    `elim` variables form the leading block and the rest form one more, so a
+    monomial containing a leading variable beats every monomial free of them
+    (an elimination order).  Each block is ordered by weighted grevlex: the
+    weighted degree sum(w_i * e_i) first, then grevlex's tie-break on the
+    exponents.  elim = 0 with unit weights is grevlex.
     """
-    return lambda exp: (grevlex_key(exp[:elim]), grevlex_key(exp[elim:]))
+    def block(exp, ws):
+        return sum(map(mul, exp, ws)), tuple(map(neg, reversed(exp)))
+
+    def key(exp):
+        ws = weights or (1,) * len(exp)
+        return block(exp[:elim], ws[:elim]), block(exp[elim:], ws[elim:])
+
+    return key
 
 
 def _block_spans(n, elim):
-    """(start, end) of each grevlex block of the order `elim` on n variables, first block first."""
+    """(start, end) of each block of the order `elim` on n variables, first block first."""
     head = min(elim, n)
     return [(s, e) for s, e in ((0, head), (head, n)) if e > s]
 
 
-@dataclass
+def _weights(weights, n):
+    """The canonical form of an order's weights: None for all ones, else a tuple of n positive ints."""
+    if weights is None:
+        return None
+    weights = tuple(weights)
+    if len(weights) != n or not all(type(w) is int and w > 0 for w in weights):
+        raise ValueError(f"weights must be {n} positive ints, got {weights}")
+    return None if all(w == 1 for w in weights) else weights
+
+
 class GroebnerBasis:
-    variables: tuple
-    elements: list
-    elim: int = 0
-    # (packing, packed integer elements) of `elements`, built by the first normal_form
-    _int: tuple = field(default=None, init=False, repr=False, compare=False)
+    """A reduced Groebner basis: its ring, its order (`elim`, `weights`, see
+    `_order_key`) and its monic elements in ascending order of their leads.
+
+    A basis from `buchberger` holds the packed primitive integer elements it
+    was computed in (`_int`), and makes the `SparsePoly` elements from them
+    only when they are asked for (`elements` None); a basis built from its
+    elements packs them on first use.
+    """
+
+    def __init__(self, variables, elements, elim=0, weights=None):
+        self.variables = variables
+        self._elements = elements
+        self.elim = elim
+        self.weights = weights
+        self._int = None  # (packing, `_element`s) of the elements
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            pk, basis = self._int
+            self._elements = [_poly(b, pk, self.variables) for b in basis]
+        return self._elements
+
+    def __eq__(self, other):
+        if not isinstance(other, GroebnerBasis):
+            return NotImplemented
+        return (self.variables, self.elim, self.weights, self.elements) == (
+            other.variables, other.elim, other.weights, other.elements)
+
+    def __repr__(self):
+        return f"GroebnerBasis({self.variables!r}, {self.elements!r}, {self.elim!r}, {self.weights!r})"
+
+    def _packed(self, w=0):
+        """(packing, `_element`s) of the elements, in a packing at least w bits wide."""
+        if self._int is None or self._int[0].w < w:
+            pk = _Packing(len(self.variables), self.elim,
+                          max(w, _first_width(self.elements, self.weights)), self.weights)
+            self._int = pk, [_element(_integer_terms(h, pk)[1], pk) for h in self.elements]
+        return self._int
 
     def dimension(self):
         """Krull dimension of the quotient ring by the basis's ideal, or None for the unit ideal.
 
-        The largest number of variables supporting no leading monomial.
+        The largest number of variables supporting no leading monomial: a set
+        of variables does when every lead's packed vector P has a nonzero
+        field outside it.
         """
-        if any(g.is_constant() and not g.is_zero() for g in self.elements):
+        pk, basis = self._packed()
+        if any(b[1] == 0 for b in basis):  # a constant lead: the unit ideal
             return None
         n = len(self.variables)
-        key = _order_key(self.elim)
-        supports = [
-            frozenset(i for i, e in enumerate(max(g.terms, key=key)) if e) for g in self.elements
-        ]
-        for size in range(n, -1, -1):
-            for subset in combinations(range(n), size):
-                sset = set(subset)
-                if all(not s <= sset for s in supports):
+        fields = [pk.mask << s for s in pk.shifts]
+        leads = [b[2] for b in basis]
+        for size in range(n, 0, -1):
+            for outside in combinations(fields, n - size):
+                out = sum(outside)
+                if all(p & out for p in leads):
                     return size
         return 0
 
@@ -86,23 +140,28 @@ class _Widen(Exception):
 class _Packing:
     """Monomials of one block order packed into ints, with fields of w bits.
 
-    A block of m variables x_0..x_(m-1) is the base-2^w linear form
-    deg * B^m - sum(x_i * B^i) on m + 1 digits, and the blocks are
-    concatenated with the first block most significant.  The int K of a
-    monomial is additive, K(a + b) = K(a) + K(b), and while every block
-    degree stays below 2^(w-1), K orders monomials exactly as `_order_key`
-    does.  unpack(K) is the packed exponent vector P: one field per variable,
-    the degree digits zero.  On P, a divides b iff (P_b - P_a) & guard == 0,
-    and the lcm is a select by guard bits (Monagan-Pearce, CASC 2007;
-    Bachmann-Schoenemann, ISSAC 1998).
+    The field of variable x_i holds y_i = w_i * e_i, its exponent times its
+    weight.  A block of m variables is the base-2^w linear form
+    deg * B^m - sum(y_i * B^i) on m + 1 digits, deg = sum(y_i) its weighted
+    degree, and the blocks are concatenated with the first block most
+    significant.  The int K of a monomial is additive, K(a + b) = K(a) + K(b),
+    and while every block degree stays below 2^(w-1), K orders monomials
+    exactly as `_order_key` does: a tie in deg is a tie in the weighted sum,
+    and the last differing y_i decides as the last differing e_i does.
+    unpack(K) is the packed vector P: one field y_i per variable, the degree
+    digits zero.  Scaling a field by w_i > 0 keeps its comparisons and its
+    max, so a divides b iff (P_b - P_a) & guard == 0, and the lcm is a
+    select by guard bits (Monagan-Pearce, CASC 2007; Bachmann-Schoenemann,
+    ISSAC 1998); only encode and decode see the weights.
 
     The kernel keeps every operand (input, basis and popped terms) below
     `limit` = 2^(w-2) in each block degree, so each product of two operands
     still compares exactly; a popped term at the limit raises _Widen.
     """
 
-    def __init__(self, n, elim, w):
+    def __init__(self, n, elim, w, weights=None):
         self.w = w
+        self.weights = weights or (1,) * n
         self.limit = 1 << (w - 2)
         self.mask = (1 << w) - 1
         self.shifts = [0] * n  # bit offset of each variable's field
@@ -125,15 +184,16 @@ class _Packing:
             digit += m + 1
 
     def encode(self, exp):
-        k = -sum(map(lshift, exp, self.shifts))
+        y = list(map(mul, exp, self.weights))
+        k = -sum(map(lshift, y, self.shifts))
         for s, e, d in self.spans:
-            k += sum(exp[s:e]) << d
+            k += sum(y[s:e]) << d
         return k
 
     def decode(self, k):
         p = ((k + self.ones) & self.top) - k
         mask = self.mask
-        return tuple([(p >> s) & mask for s in self.shifts])
+        return tuple([((p >> s) & mask) // w for s, w in zip(self.shifts, self.weights)])
 
     def unpack(self, k):
         """P of K, after checking that every block degree of K is below the limit."""
@@ -154,9 +214,9 @@ class _Packing:
         return k, p
 
 
-def _first_width(polys):
-    """A field width whose limit exceeds every total degree in polys."""
-    d = max((sum(e) for p in polys for e in p.terms), default=0)
+def _first_width(polys, weights=None):
+    """A field width whose limit exceeds every weighted total degree in polys (weights None: all ones)."""
+    d = max((sum(map(mul, e, weights)) if weights else sum(e) for p in polys for e in p.terms), default=0)
     return d.bit_length() + 4
 
 
@@ -179,6 +239,13 @@ def _element(terms, pk):
     """(terms, K and P of the leading monomial, leading coefficient)."""
     k = max(terms)
     return terms, k, pk.unpack(k), terms[k]
+
+
+def _poly(element, pk, variables, first=0):
+    """The monic `SparsePoly` of an `_element` in `variables`, its exponents read from index `first` on."""
+    terms, _, _, lc = element
+    decode = pk.decode
+    return SparsePoly._trusted(variables, {decode(e)[first:]: Fraction(c, lc) for e, c in terms.items()})
 
 
 def _reduce(g, basis, pk):
@@ -230,12 +297,9 @@ def normal_form(f, gb):
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
     if f.variables != gb.variables:
         raise ValueError("polynomial outside the basis ring")
-    w = _first_width([f])
+    w = _first_width([f], gb.weights)
     while True:
-        if gb._int is None or gb._int[0].w < w:
-            pk = _Packing(len(gb.variables), gb.elim, max(w, _first_width(gb.elements)))
-            gb._int = pk, [_element(_integer_terms(h, pk)[1], pk) for h in gb.elements]
-        pk, basis = gb._int
+        pk, basis = gb._packed(w)
         den, g = _integer_terms(f, pk)
         try:
             rem, scale = _reduce(g, basis, pk)
@@ -300,46 +364,52 @@ def _update_pairs(basis, pairs, pair_info, pk):
     return kept
 
 
-def buchberger(ideal, elim=0, step_budget=DEFAULT_BUDGET, start=None):
-    """Reduced Groebner basis of the ideal under the order `elim` (0: grevlex).
+def buchberger(ideal, elim=0, weights=None, step_budget=DEFAULT_BUDGET, start=None):
+    """Reduced Groebner basis of the ideal under the order (`elim`, `weights`), see `_order_key`.
 
-    With `start`, a complete reduced basis under `elim` in the ideal's ring,
-    the result is the reduced basis of the ideal generated by start and the
-    ideal's generators.  The run starts from start's elements with no
-    pending S-pairs, since every S-pair of a Groebner basis reduces to 0
-    (Gebauer-Moeller, "On an installation of Buchberger's algorithm",
-    J. Symbolic Comput. 6, 1988), so only the new generators are reduced and
-    `step_budget` counts only the pairs they bring.  A reduced basis is
-    unique, so the result equals the basis computed from all the generators.
+    The default is grevlex.  With `start`, a complete reduced basis under
+    the same order in the ideal's ring, the result is the reduced basis of
+    the ideal generated by start and the ideal's generators.  The run starts
+    from start's packed elements with no pending S-pairs, since every S-pair
+    of a Groebner basis reduces to 0 (Gebauer-Moeller, "On an installation
+    of Buchberger's algorithm", J. Symbolic Comput. 6, 1988), so only the
+    new generators are reduced and `step_budget` counts only the pairs they
+    bring.  A reduced basis is unique, so the result equals the basis
+    computed from all the generators; when no generator adds an element,
+    start's elements are the result, with no inter-reduction.  The returned
+    basis keeps its packed integer elements for `normal_form`, `dimension`
+    and later extensions.
     """
-    base = []
-    if start is not None:
-        if start.variables != ideal.variables or start.elim != elim:
-            raise ValueError("start basis in another ring or under another order")
-        base = start.elements
+    n = len(ideal.variables)
+    weights = _weights(weights, n)
+    if start is not None and (start.variables, start.elim, start.weights) != (ideal.variables, elim, weights):
+        raise ValueError("start basis in another ring or under another order")
     gens = [g for g in ideal.generators if not g.is_zero()]
-    w = _first_width(base + gens)
+    w = _first_width(gens, weights)
     while True:
-        pk = _Packing(len(ideal.variables), elim, w)
+        if start is None:
+            pk, base = _Packing(n, elim, w, weights), []
+        else:
+            pk, base = start._packed(w)
         try:
-            elements = _buchberger(base, gens, pk, step_budget)
+            reduced = _buchberger(base, gens, pk, step_budget)
             break
         except _Widen:
-            w *= 2
-    return GroebnerBasis(ideal.variables, [
-        SparsePoly._trusted(ideal.variables, terms) for terms in elements
-    ], elim)
+            w = 2 * pk.w
+    gb = GroebnerBasis(ideal.variables, None, elim, weights)
+    gb._int = pk, reduced
+    return gb
 
 
 def _buchberger(base, gens, pk, step_budget):
-    """Term dicts (exponent tuple -> Fraction) of the reduced basis of base + gens, packed by pk.
+    """`_element`s of the reduced basis of base + gens, packed by pk, sorted by lead.
 
-    `base` is a reduced basis (or empty), taken with no pending pairs; the
-    sorted gens are then reduced and added one by one.
+    `base` is a reduced basis (or empty) as `_element`s, taken with no
+    pending pairs; the sorted gens are then reduced and added one by one.
+    When none of them adds an element, `base` itself is returned.
     """
     gens = sorted((_primitive(_integer_terms(g, pk)[1]) for g in gens), key=max)
-    # `_element`s, each taken once when it is added
-    basis = [_element(_primitive(_integer_terms(g, pk)[1]), pk) for g in base]
+    basis = list(base)  # `_element`s, each taken once when it is added
     pairs = set()
     pair_info = {}  # pair -> (K, P) of its lcm, for the pairs in `pairs`
     steps = 0
@@ -376,6 +446,8 @@ def _buchberger(base, gens, pk, step_budget):
         if r:
             pairs = add(_primitive(r))
 
+    if len(basis) == len(base):
+        return base
     # minimalize: a lead is divisible only by leads not above it, so one pass
     # in ascending order keeps each element unless a kept lead divides its
     # lead (of equal leads the first is kept, the sort being stable)
@@ -383,29 +455,23 @@ def _buchberger(base, gens, pk, step_budget):
     for b in sorted(basis, key=itemgetter(1)):
         if all((b[2] - c[2]) & guard for c in minimal):
             minimal.append(b)
-    # inter-reduce, then normalize to monic on the way out of the kernel
-    reduced = []
-    for idx, b in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        reduced.append(_primitive(_reduce(dict(b[0]), others, pk)[0]))
-    reduced.sort(key=max)
-    decode = pk.decode
-    elements = []
-    for p in reduced:
-        lc = p[max(p)]
-        elements.append({decode(e): Fraction(c, lc) for e, c in p.items()})
-    return elements
+    # inter-reduce; the leads stay, so the order by lead stays too
+    return [
+        _element(_primitive(_reduce(dict(b[0]), minimal[:idx] + minimal[idx + 1:], pk)[0]), pk)
+        for idx, b in enumerate(minimal)
+    ]
 
 
 def ideal_member(f, gb):
     return normal_form(f, gb).is_zero()
 
 
-def _tagged_basis(ideal, f, tagged, step_budget):
+def _tagged_basis(ideal, f, tagged, weights, step_budget):
     """Reduced elimination basis (`elim` = 1) of tagged generators, with a fresh tag w in front.
 
     `tagged(gens, f, w, one)` builds the generators from the ideal's
     generators, f, w and 1, all lifted to the ring (w,) + ideal.variables.
+    The tag has weight 1 and the ideal's variables keep `weights`.
     """
     tag = _fresh_name("w", ideal.variables)
     ring = (tag,) + ideal.variables
@@ -415,12 +481,22 @@ def _tagged_basis(ideal, f, tagged, step_budget):
         SparsePoly.variable(ring, tag),
         SparsePoly.constant(ring, 1),
     )
-    return buchberger(Ideal(ring, gens), elim=1, step_budget=step_budget)
+    weights = _weights(weights, len(ideal.variables))
+    if weights is not None:
+        weights = (1,) + weights
+    return buchberger(Ideal(ring, gens), elim=1, weights=weights, step_budget=step_budget)
 
 
 def _tag_free(gb, variables):
-    """Elements of a tagged basis free of the tag, in the basis order, back in `variables`."""
-    return [g.rename_ring(variables) for g in gb.elements if all(exp[0] == 0 for exp in g.terms)]
+    """Elements of a tagged basis free of the tag, in the basis order, back in `variables`.
+
+    Under the elimination order an element is free of the tag iff its lead
+    is, so they are read off the packed leads and only they are made
+    `SparsePoly`s.
+    """
+    pk, basis = gb._packed()
+    tag = pk.mask << pk.shifts[0]
+    return [_poly(b, pk, variables, 1) for b in basis if not b[2] & tag]
 
 
 def saturate(ideal, f, step_budget=DEFAULT_BUDGET):
@@ -439,7 +515,7 @@ def saturate(ideal, f, step_budget=DEFAULT_BUDGET):
     """
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
-    gb = _tagged_basis(ideal, f, lambda gens, f, w, one: gens + [one - w * f], step_budget)
+    gb = _tagged_basis(ideal, f, lambda gens, f, w, one: gens + [one - w * f], None, step_budget)
     return Ideal(ideal.variables, _tag_free(gb, ideal.variables))
 
 
@@ -462,6 +538,7 @@ class Quotient(Ideal):
         tagged = buchberger(
             Ideal(ring, [w * g.rename_ring(ring) for g in gens]),
             elim=self.tagged.elim,
+            weights=self.tagged.weights,
             step_budget=step_budget,
             start=self.tagged,
         )
@@ -480,23 +557,29 @@ def _quotient(tagged, f, variables):
     return Quotient(variables, out, f, tagged)
 
 
-def quotient_by(ideal, f, step_budget=DEFAULT_BUDGET):
+def quotient_by(ideal, f, weights=None, step_budget=DEFAULT_BUDGET):
     """Single ideal quotient I : <f>, via tagged intersection and exact division.
 
-    The returned `Quotient` extends to (I + <gens>) : <f> without recomputing
-    the intersection from scratch.
+    The tagged basis is computed with `weights` on the ideal's variables
+    (see `_order_key`; grevlex by default); the quotient does not depend on
+    them.  The returned `Quotient` extends to (I + <gens>) : <f> without
+    recomputing the intersection from scratch.
     """
     if f.is_zero():
         raise ValueError("cannot take a quotient by zero")
     tagged = _tagged_basis(
-        ideal, f, lambda gens, f, w, one: [w * g for g in gens] + [(one - w) * f], step_budget
+        ideal, f, lambda gens, f, w, one: [w * g for g in gens] + [(one - w) * f], weights, step_budget
     )
     return _quotient(tagged, f, ideal.variables)
 
 
-def krull_dimension(ideal, step_budget=DEFAULT_BUDGET):
-    """Krull dimension of the quotient ring, or None for the unit ideal."""
-    return buchberger(ideal, step_budget=step_budget).dimension()
+def krull_dimension(ideal, weights=None, step_budget=DEFAULT_BUDGET):
+    """Krull dimension of the quotient ring, or None for the unit ideal.
+
+    Read off a basis under `weights` (see `_order_key`; grevlex by default):
+    every monomial order gives the same dimension.
+    """
+    return buchberger(ideal, weights=weights, step_budget=step_budget).dimension()
 
 
 def _fresh_name(stem, variables):

@@ -8,7 +8,7 @@ lexicographic in the declared variable order.
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, neg, sub
 
 
 def grevlex_key(exp):
@@ -91,9 +91,6 @@ class SparsePoly:
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
 
     def __bool__(self):
         return bool(self.terms)
@@ -320,6 +317,18 @@ class SparsePoly:
             raise ZeroDivisionError("division by the zero polynomial")
         self._check_ring(f)
         lexp, lc = f.leading()
+        ring = self.variables
+        if len(f.terms) == 1:
+            # a monomial divisor takes each term on its own, as the loop below
+            # would, without looking for the leading term at every step
+            quot, rem = {}, {}
+            for exp, c in self.terms.items():
+                diff = tuple(map(sub, exp, lexp))
+                if min(diff, default=0) < 0:
+                    rem[exp] = c
+                else:
+                    quot[diff] = c / lc
+            return SparsePoly._trusted(ring, quot), SparsePoly._trusted(ring, rem)
         g = dict(self.terms)
         quot = {}
         rem = {}
@@ -341,7 +350,6 @@ class SparsePoly:
                         g[exp] = c
                     else:
                         del g[exp]
-        ring = self.variables
         return SparsePoly._trusted(ring, quot), SparsePoly._trusted(ring, rem)
 
     # -- text form --------------------------------------------------------

@@ -142,8 +142,9 @@ def discover_saturation_element(quotient, gb, degree_map):
 
     `quotient` is <B> : t and `gb` the reduced basis of <B>.  The candidates
     are the nonzero normal forms of the quotient's generators; the returned
-    element has minimal Z^2-degree under `degree_map`, with the term order
-    breaking ties.
+    element has minimal Z^2-degree under `degree_map`, with grevlex on the
+    leading term breaking ties, whatever order `gb` is under: the choice
+    decides the certificate.
     """
     candidates = []
     for g in quotient.generators:
@@ -177,6 +178,14 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
     or at the fixed point, whose certificate records it.  `step_budget`
     bounds the S-pair reductions of each Groebner computation; an extended
     basis counts only the pairs its new generator adds.
+
+    Every ideal here is Z^2-homogeneous under `_degree_map`, so all the
+    Groebner work runs under weighted grevlex with the weight d + e of each
+    variable's degree (d, e): (a, b, c, d_i - m_i, 1) on x, y, z, s_i, t, and
+    1 on the tag of the quotient.  The generators are then homogeneous, and
+    Buchberger's pair order works degree by degree (the sugar strategy of
+    Giovini-Mora-Niesi-Robbiano-Traverso, ISSAC 1991, is exact here).  Any
+    positive weights give a valid order, so a weight below 1 is raised to 1.
     """
     mults = rees_multiplicities(instance)
     warnings = []
@@ -185,20 +194,23 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
             warnings.append(f"generator {f} does not vanish at the point")
     ring, s_names, basis = initial_basis(instance, mults)
     degree_map = _degree_map(instance, mults, s_names)
+    weights = tuple(max(1, sum(degree_map[v])) for v in ring)
     t_poly = SparsePoly.variable(ring, "t")
     f_poly = instance.product.rename_ring(ring)
     dim_r1 = len(instance.variables)
     trace = []
 
     def dim_tf():
-        return groebner.krull_dimension(Ideal(ring, basis + [t_poly, f_poly]), step_budget=step_budget)
+        return groebner.krull_dimension(
+            Ideal(ring, basis + [t_poly, f_poly]), weights=weights, step_budget=step_budget
+        )
 
     def extend(gb, gens):
-        return groebner.buchberger(Ideal(ring, gens), step_budget=step_budget, start=gb)
+        return groebner.buchberger(Ideal(ring, gens), weights=weights, step_budget=step_budget, start=gb)
 
-    gb = groebner.buchberger(Ideal(ring, basis), step_budget=step_budget)
+    gb = groebner.buchberger(Ideal(ring, basis), weights=weights, step_budget=step_budget)
     gb_t = extend(gb, [t_poly])
-    quotient = groebner.quotient_by(Ideal(ring, basis), t_poly, step_budget)
+    quotient = groebner.quotient_by(Ideal(ring, basis), t_poly, weights=weights, step_budget=step_budget)
     for _ in range(discovery_budget + 1):
         if trace:
             added = trace[-1:]

@@ -161,6 +161,30 @@ def test_scan_line_that_is_not_a_record_exit_2(tmp_path, capsys, line):
     assert out_file.read_text() == record + line + "\n" + record
 
 
+def test_load_records_line_kinds(tmp_path, capsys):
+    out_file = tmp_path / "scan.jsonl"
+    args = ("scan", "--c-max", "3", "--mu-cap", "5", "--out", str(out_file))
+    assert run(capsys, *args)[0] == 0
+    record = out_file.read_bytes()
+    keys = set(cli.load_records(out_file))
+    assert len(keys) == 1
+    # blank lines are skipped wherever they are
+    out_file.write_bytes(b"\n" + record + b"  \n\n")
+    assert set(cli.load_records(out_file)) == keys
+    # a record behind a UTF-8 byte order mark is still a record
+    out_file.write_bytes(b"\xef\xbb\xbf" + record)
+    assert set(cli.load_records(out_file)) == keys
+    # a JSON line that is not a record, mid-file
+    out_file.write_bytes(record + b"[1]\n" + record)
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == f"error: {out_file}: line 2: not a scan record\n"
+    # a last line that is not UTF-8 is dropped and cut from the file
+    out_file.write_bytes(record + b'{"a": "\xe9')
+    assert set(cli.load_records(out_file)) == keys
+    assert out_file.read_bytes() == record
+
+
 def test_scan_invalid_cmax(capsys):
     code, _, err = run(capsys, "scan", "--c-max", "2")
     assert code == 2
@@ -211,6 +235,19 @@ def test_verify_gens_step_budget_exhaustion_exit_3(tmp_path, capsys):
     code, out, err = run(capsys, "verify-gens", str(path), "--step-budget", "50")
     assert code == 3 and out == ""
     assert err.startswith("resource limit: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget, code", [("97", 0), ("96", 3)])
+def test_verify_gens_smallest_step_budget(tmp_path, capsys, budget, code):
+    # 97 S-pair reductions are the fewest with which every Groebner
+    # computation of the fixture's run completes under the weighted order
+    text = ir.files("wpp_mori").joinpath("data/verify_gens_7_3_11.txt").read_text()
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    got, out, err = run(capsys, "verify-gens", str(path), "--step-budget", budget)
+    assert got == code
+    assert ("verified: True" in out) == (code == 0)
+    assert err.startswith("resource limit: ") == (code == 3)
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--step-budget"])

@@ -380,13 +380,14 @@ def test_saturation_step_counts_are_pinned(triple, f12_steps, lattice_steps):
 
 @st.composite
 def packed_operands(draw):
-    """A packing of n <= 9 variables and two exponent vectors below its limit.
+    """A packing of n <= 9 variables, its weights and two exponent vectors below its limit.
 
-    Block degrees and single exponents are often exactly limit - 1, so sums
+    Block degrees and single fields are often exactly limit - 1, so sums
     reach 2 * limit - 2, the most a product of two kernel operands can be."""
     n = draw(st.integers(1, 9))
     elim = draw(st.sampled_from([0, 1]))
-    pk = groebner._Packing(n, elim, draw(st.sampled_from([3, 4, 7, 12, 70])))
+    weights = draw(st.just((1,) * n) | st.tuples(*[st.integers(1, 5)] * n))
+    pk = groebner._Packing(n, elim, draw(st.sampled_from([3, 4, 7, 12, 70])), weights)
     top = pk.limit - 1
 
     def operand():
@@ -395,20 +396,24 @@ def packed_operands(draw):
             deg = draw(st.one_of(st.just(top), st.integers(0, top)))
             cuts = sorted(draw(st.lists(st.sampled_from([0, deg, deg // 2]) | st.integers(0, deg),
                                         min_size=e - s - 1, max_size=e - s - 1)))
-            exp += [b - a for a, b in zip([0] + cuts, cuts + [deg])]
+            # field i takes weights[i] * exp[i] of the block's weighted degree
+            exp += [(b - a) // w for a, b, w in zip([0] + cuts, cuts + [deg], weights[s:e])]
         return tuple(exp)
 
-    return pk, elim, operand(), operand()
+    return pk, elim, weights, operand(), operand()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(packed_operands())
 def test_packed_codec_agrees_with_tuple_definitions(case):
-    pk, elim, a, b = case
-    key = groebner._order_key(elim)
+    pk, elim, weights, a, b = case
+    key = groebner._order_key(elim, weights)
 
     def packed(u):
-        return sum(x << s for x, s in zip(u, pk.shifts))
+        return sum((w * x) << s for x, w, s in zip(u, weights, pk.shifts))
+
+    def block_degrees(u):
+        return [sum(w * x for x, w in zip(u[s:e], weights[s:e])) for s, e in groebner._block_spans(len(u), elim)]
 
     ab = tuple(x + y for x, y in zip(a, b))
     lcm = tuple(map(max, a, b))
@@ -426,12 +431,60 @@ def test_packed_codec_agrees_with_tuple_definitions(case):
     assert (pa, pb) == (packed(a), packed(b))
     assert pk.lcm(pa, pb) == (pk.encode(lcm), packed(lcm))
     # a sum reaching the limit in some block is refused as an operand
-    over = any(sum(ab[s:e]) >= pk.limit for s, e in groebner._block_spans(len(a), elim))
-    if over:
+    if max(block_degrees(ab)) >= pk.limit:
         with pytest.raises(groebner._Widen):
             pk.unpack(pk.encode(ab))
     else:
         assert pk.unpack(pk.encode(ab)) == packed(ab)
+
+
+@st.composite
+def weighted_ideal(draw):
+    """Two small ideals I and G of x, y, z, positive weights on x, y, z and
+    two multipliers for an ideal member."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    coeffs = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 3)] + [Fraction(1, 2), Fraction(-5, 3)])
+
+    def poly(max_size):
+        return SparsePoly(XYZ, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=max_size)))
+
+    ideal = [poly(3) for _ in range(draw(st.integers(1, 2)))]
+    more = [poly(3)]
+    weights = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    return ideal, more, weights, poly(3), poly(3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(weighted_ideal())
+def test_weighted_basis_generates_the_grevlex_ideal(case):
+    ideal, more, weights, f, h = case
+    whole = Ideal(XYZ, ideal + more)
+    weighted = buchberger(whole, weights=weights)
+    grevlex = buchberger(whole)
+    # the same ideal: each basis reduces the other to zero
+    assert all(normal_form(g, grevlex).is_zero() for g in weighted.elements)
+    assert all(normal_form(g, weighted).is_zero() for g in grevlex.elements)
+    assert normal_form(ideal[0] * f + more[0] * h, weighted).is_zero()
+    assert weighted.dimension() == grevlex.dimension() == krull_dimension(whole, weights)
+    assert same_ideal(quotient_by(whole, P("x*y"), weights=weights), quotient_by(whole, P("x*y")))
+    # the carried extension under the weights is the fresh weighted basis
+    start = buchberger(Ideal(XYZ, ideal), weights=weights)
+    assert buchberger(Ideal(XYZ, more), weights=weights, start=start) == weighted
+    assert buchberger(Ideal(XYZ, ideal), weights=weights, start=start) == start
+    other = (weights[0] + 1,) + weights[1:]
+    with pytest.raises(ValueError, match="another order"):
+        buchberger(Ideal(XYZ, more), weights=other, start=start)
+
+
+def test_unit_weights_are_grevlex_and_weights_must_be_positive():
+    ideal = I("x^2 - y", "x^3 - z")
+    gb = buchberger(ideal, weights=(1, 1, 1))
+    assert gb == buchberger(ideal) and gb.weights is None
+    # under weights (1, 2, 3) the generators are homogeneous and x^2 leads x^2 - y
+    assert buchberger(ideal, weights=(1, 2, 3)).elements == [P("x^2 - y"), P("x*y - z"), P("y^2 - x*z")]
+    for bad in [(1, 0, 1), (1, 2), (1, 1), (1, -1, 2)]:
+        with pytest.raises(ValueError, match="positive"):
+            buchberger(ideal, weights=bad)
 
 
 def sympy_ring(variables):

@@ -1,5 +1,6 @@
 """Generator verification: parsing, discovery loop, dimension certificates."""
 
+import hashlib
 import importlib.resources as ir
 
 import pytest
@@ -17,7 +18,7 @@ from wpp_mori.verifygens import (
     rees_multiplicities,
     verify,
 )
-from wpp_mori.weights import WeightTriple
+from wpp_mori.weights import WeightTriple, coprime_triples
 
 
 def fixture_text():
@@ -258,9 +259,9 @@ def test_tf_dimension_only_where_it_can_decide(monkeypatch):
     instance = _generator_instance((3, 4, 5), "mult2")
     calls = []
 
-    def counting(ideal, step_budget=groebner.DEFAULT_BUDGET):
+    def counting(ideal, weights=None, step_budget=groebner.DEFAULT_BUDGET):
         calls.append(ideal)
-        return krull_dimension(ideal, step_budget)
+        return krull_dimension(ideal, weights, step_budget)
 
     monkeypatch.setattr(groebner, "krull_dimension", counting)
     cert = verify(instance)
@@ -269,3 +270,56 @@ def test_tf_dimension_only_where_it_can_decide(monkeypatch):
     t = SparsePoly.variable(calls[0].variables, "t")
     f = parse_poly("x*y*z", calls[0].variables)
     assert [ideal.generators[-2:] for ideal in calls] == [[t, f], [t, f]]
+
+
+MULT2_C13 = [t for t in coprime_triples(13) if coxring.classify(WeightTriple(*t)).is_mult2]
+
+# sha256 (first 16 hex digits) of certificate_text of each Mult2 guess, taken
+# when verify still ran its Groebner work under grevlex; the weighted order
+# keeps each of them byte for byte
+GREVLEX_CERTIFICATES = {
+    (3, 4, 5): "db4f5a0aba93a557",
+    (3, 5, 7): "674f1e2ae23b9354",
+    (3, 7, 8): "5bcac76353419cd1",
+    (3, 7, 11): "14a57784b7c75ce6",
+    (3, 8, 13): "34d1bdca8104de2b",
+    (3, 10, 11): "7878ecc1c5b9e03a",
+    (3, 11, 13): "b436566f2946ac3f",
+    (5, 6, 7): "fee7db7a158216ef",
+    (5, 7, 9): "f570c98ffe92d7ff",
+    (5, 8, 9): "956e4a0e6ad96c5e",
+    (5, 8, 11): "ab6d40aec996fd3e",
+    (5, 9, 13): "477ed854e32aed4d",
+    (5, 11, 13): "390f6fc695ab4471",
+    (7, 8, 9): "b4cb69569e1535a6",
+    (7, 8, 11): "4945bb54f76fbe34",
+    (7, 9, 11): "68dd5fac26e733f0",
+    (7, 10, 13): "713a8a82e2564c5d",
+    (8, 9, 13): "f87bb0cf401b17de",
+    (9, 10, 11): "17ee1cbfdee3b9c4",
+    (9, 11, 13): "8fa33625f6dff736",
+    (11, 12, 13): "73a0260dc1a2d5f1",
+}
+# under the weighted order the discovery loop finds other representatives
+# for these two, with the same verdict and dims
+MOVED_CERTIFICATES = {(5, 11, 12), (7, 12, 13)}
+
+
+def test_mult2_guess_certificate_table_covers_every_triple():
+    assert sorted(GREVLEX_CERTIFICATES.keys() | MOVED_CERTIFICATES) == MULT2_C13
+
+
+@pytest.mark.parametrize("triple", MULT2_C13, ids=["%d_%d_%d" % t for t in MULT2_C13])
+def test_mult2_guess_certificates(triple):
+    instance = _generator_instance(triple, "mult2")
+    cert = verify(instance)
+    assert cert.ok and cert.dims == (3, 3, 2)
+    text = certificate_text(cert)
+    if triple in GREVLEX_CERTIFICATES:
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == GREVLEX_CERTIFICATES[triple]
+        return
+    # each discovered element lies in <B_0> : t^oo, read off its reduced grevlex basis
+    ring, _, b0 = initial_basis(instance, cert.multiplicities)
+    sat = groebner.saturate(Ideal(ring, b0), SparsePoly.variable(ring, "t"))
+    gb = groebner.GroebnerBasis(ring, sat.generators)
+    assert cert.trace and all(normal_form(g, gb).is_zero() for g in cert.trace)
