@@ -7,7 +7,7 @@ the same step over Q, so remainders agree up to a scalar; exponent tuples and
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter, lshift, mul, neg
@@ -128,6 +128,36 @@ class GroebnerBasis:
                 if all(p & out for p in leads):
                     return size
         return 0
+
+    def quotient_by_last(self):
+        """The reduced basis of <G> : v under the same order, v the last variable.
+
+        When every element whose lead contains v has v in each term, the
+        elements, each such one divided by v, are a Groebner basis of <G> : v,
+        as in(<G> : v) = in(<G>) : v (Bayer-Stillman, Invent. Math. 87, 1987).
+        Weighted grevlex puts the terms with least v first, so this holds for
+        a homogeneous ideal; an element that breaks it raises AssertionError.
+        Dividing by v subtracts K(v) from each packed key; minimalizing and
+        inter-reducing then gives the reduced basis.
+        """
+        if self.elim:
+            raise ValueError("the read-off needs an order with no leading block")
+        pk, basis = self._packed()
+        n = len(self.variables)
+        v = pk.mask << pk.shifts[n - 1]
+        kv = pk.encode((0,) * (n - 1) + (1,))
+        if not any(b[2] & v for b in basis):
+            return self
+        out = []
+        for b in basis:
+            if b[2] & v:
+                if not all(pk.unpack(k) & v for k in b[0]):
+                    raise AssertionError("an element whose lead contains v has a term without v")
+                b = _element({k - kv: c for k, c in b[0].items()}, pk)
+            out.append(b)
+        gb = GroebnerBasis(self.variables, None, self.elim, self.weights)
+        gb._int = pk, _reduced(out, pk)
+        return gb
 
 
 DEFAULT_BUDGET = 10 ** 6
@@ -448,12 +478,17 @@ def _buchberger(base, gens, pk, step_budget):
 
     if len(basis) == len(base):
         return base
+    return _reduced(basis, pk)
+
+
+def _reduced(basis, pk):
+    """`_element`s of the reduced basis, sorted by lead, of a Groebner basis given as `_element`s."""
     # minimalize: a lead is divisible only by leads not above it, so one pass
     # in ascending order keeps each element unless a kept lead divides its
     # lead (of equal leads the first is kept, the sort being stable)
     minimal = []
     for b in sorted(basis, key=itemgetter(1)):
-        if all((b[2] - c[2]) & guard for c in minimal):
+        if all((b[2] - c[2]) & pk.guard for c in minimal):
             minimal.append(b)
     # inter-reduce; the leads stay, so the order by lead stays too
     return [
@@ -466,12 +501,11 @@ def ideal_member(f, gb):
     return normal_form(f, gb).is_zero()
 
 
-def _tagged_basis(ideal, f, tagged, weights, step_budget):
+def _tagged_basis(ideal, f, tagged, step_budget):
     """Reduced elimination basis (`elim` = 1) of tagged generators, with a fresh tag w in front.
 
     `tagged(gens, f, w, one)` builds the generators from the ideal's
     generators, f, w and 1, all lifted to the ring (w,) + ideal.variables.
-    The tag has weight 1 and the ideal's variables keep `weights`.
     """
     tag = _fresh_name("w", ideal.variables)
     ring = (tag,) + ideal.variables
@@ -481,10 +515,7 @@ def _tagged_basis(ideal, f, tagged, weights, step_budget):
         SparsePoly.variable(ring, tag),
         SparsePoly.constant(ring, 1),
     )
-    weights = _weights(weights, len(ideal.variables))
-    if weights is not None:
-        weights = (1,) + weights
-    return buchberger(Ideal(ring, gens), elim=1, weights=weights, step_budget=step_budget)
+    return buchberger(Ideal(ring, gens), elim=1, step_budget=step_budget)
 
 
 def _tag_free(gb, variables):
@@ -515,71 +546,36 @@ def saturate(ideal, f, step_budget=DEFAULT_BUDGET):
     """
     if f.is_zero():
         raise ValueError("cannot saturate by zero")
-    gb = _tagged_basis(ideal, f, lambda gens, f, w, one: gens + [one - w * f], None, step_budget)
+    gb = _tagged_basis(ideal, f, lambda gens, f, w, one: gens + [one - w * f], step_budget)
     return Ideal(ideal.variables, _tag_free(gb, ideal.variables))
 
 
-@dataclass
-class Quotient(Ideal):
-    """I : <f>, with the reduced block basis of <w*I, (1 - w)*f> it was read from.
-
-    The tag-free part of that basis generates the intersection of I and <f>
-    (elimination theorem); each of its elements divided by f is a generator
-    of I : <f>.
-    """
-
-    divisor: SparsePoly = field(repr=False)
-    tagged: GroebnerBasis = field(repr=False, compare=False)
-
-    def extend(self, gens, step_budget=DEFAULT_BUDGET):
-        """(I + <gens>) : <f>, extending the tagged basis by w*g for each g in gens."""
-        ring = self.tagged.variables
-        w = SparsePoly.variable(ring, ring[0])
-        tagged = buchberger(
-            Ideal(ring, [w * g.rename_ring(ring) for g in gens]),
-            elim=self.tagged.elim,
-            weights=self.tagged.weights,
-            step_budget=step_budget,
-            start=self.tagged,
-        )
-        return _quotient(tagged, self.divisor, self.variables)
-
-
-def _quotient(tagged, f, variables):
-    """The `Quotient` read off a tagged basis: its tag-free elements divided by f."""
-    out = []
-    for g in _tag_free(tagged, variables):
-        q, r = g.divide_by(f)
-        if not r.is_zero():
-            raise AssertionError("intersection element not divisible by f")
-        if not q.is_zero():
-            out.append(q.primitive())
-    return Quotient(variables, out, f, tagged)
-
-
-def quotient_by(ideal, f, weights=None, step_budget=DEFAULT_BUDGET):
+def quotient_by(ideal, f, step_budget=DEFAULT_BUDGET):
     """Single ideal quotient I : <f>, via tagged intersection and exact division.
 
-    The tagged basis is computed with `weights` on the ideal's variables
-    (see `_order_key`; grevlex by default); the quotient does not depend on
-    them.  The returned `Quotient` extends to (I + <gens>) : <f> without
-    recomputing the intersection from scratch.
+    The tag-free part of the reduced grevlex block basis of <w*I, (1 - w)*f>
+    generates the intersection of I and <f> (elimination theorem); each of
+    its elements divided by f is a generator of I : <f>.  The package reads
+    I : v off a basis of I instead (`GroebnerBasis.quotient_by_last`); this
+    is its reference.
     """
     if f.is_zero():
         raise ValueError("cannot take a quotient by zero")
     tagged = _tagged_basis(
-        ideal, f, lambda gens, f, w, one: [w * g for g in gens] + [(one - w) * f], weights, step_budget
+        ideal, f, lambda gens, f, w, one: [w * g for g in gens] + [(one - w) * f], step_budget
     )
-    return _quotient(tagged, f, ideal.variables)
+    out = []
+    for g in _tag_free(tagged, ideal.variables):
+        q, r = g.divide_by(f)
+        if not r.is_zero():
+            raise AssertionError("intersection element not divisible by f")
+        out.append(q.primitive())
+    return Ideal(ideal.variables, out)
 
 
-def krull_dimension(ideal, weights=None, step_budget=DEFAULT_BUDGET):
-    """Krull dimension of the quotient ring, or None for the unit ideal.
-
-    Read off a basis under `weights` (see `_order_key`; grevlex by default):
-    every monomial order gives the same dimension.
-    """
-    return buchberger(ideal, weights=weights, step_budget=step_budget).dimension()
+def krull_dimension(ideal):
+    """Krull dimension of the quotient ring, or None for the unit ideal, read off a grevlex basis."""
+    return buchberger(ideal).dimension()
 
 
 def _fresh_name(stem, variables):

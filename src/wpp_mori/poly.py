@@ -8,7 +8,7 @@ lexicographic in the declared variable order.
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg, sub
+from operator import add, neg
 
 
 def grevlex_key(exp):
@@ -318,17 +318,6 @@ class SparsePoly:
         self._check_ring(f)
         lexp, lc = f.leading()
         ring = self.variables
-        if len(f.terms) == 1:
-            # a monomial divisor takes each term on its own, as the loop below
-            # would, without looking for the leading term at every step
-            quot, rem = {}, {}
-            for exp, c in self.terms.items():
-                diff = tuple(map(sub, exp, lexp))
-                if min(diff, default=0) < 0:
-                    rem[exp] = c
-                else:
-                    quot[diff] = c / lc
-            return SparsePoly._trusted(ring, quot), SparsePoly._trusted(ring, rem)
         g = dict(self.terms)
         quot = {}
         rem = {}
@@ -435,6 +424,8 @@ def parse_poly(text, variables):
                 if i < n and tokens[i] == "/":
                     if i + 1 >= n or not tokens[i + 1].isdigit():
                         raise ValueError("malformed fraction")
+                    if int(tokens[i + 1]) == 0:
+                        raise ValueError("zero denominator in polynomial text")
                     coeff *= Fraction(num, int(tokens[i + 1]))
                     i += 2
                 else:

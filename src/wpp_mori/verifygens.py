@@ -10,7 +10,6 @@ the R_1-generators not vanishing on the point.
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import groebner, mult
 from .groebner import Ideal, StepBudgetExceeded
@@ -46,6 +45,8 @@ class BlowupInput:
         if self.product.is_zero():
             raise ValueError("the non-vanishing product must be nonzero")
         for g in self.ideal_gens:
+            if g.is_zero():
+                raise ValueError("an ideal generator is zero")
             if g.weighted_degree(self.weights.as_tuple()) is None:
                 raise ValueError(f"ideal generator {g} is not weighted-homogeneous")
 
@@ -137,17 +138,18 @@ def _degree_map(instance, mults, s_names):
     return dm
 
 
-def discover_saturation_element(quotient, gb, degree_map):
+def discover_saturation_element(gb, degree_map):
     """One element of (<B> : t) outside <B>, or None at the fixed point.
 
-    `quotient` is <B> : t and `gb` the reduced basis of <B>.  The candidates
-    are the nonzero normal forms of the quotient's generators; the returned
-    element has minimal Z^2-degree under `degree_map`, with grevlex on the
-    leading term breaking ties, whatever order `gb` is under: the choice
-    decides the certificate.
+    `gb` is the reduced basis of <B>, t the last variable of its ring.  The
+    candidates are the nonzero normal forms of the elements of the reduced
+    basis of <B> : t, read off `gb` (`GroebnerBasis.quotient_by_last`); the
+    returned element has minimal Z^2-degree under `degree_map`, with grevlex
+    on the leading term breaking ties, whatever order `gb` is under: the
+    choice decides the certificate.
     """
     candidates = []
-    for g in quotient.generators:
+    for g in gb.quotient_by_last().elements:
         r = groebner.normal_form(g, gb)
         if not r.is_zero():
             candidates.append(r.primitive())
@@ -170,22 +172,24 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
     fixed point without meeting it is a definitive negative; running out of
     discovery iterations raises DiscoveryBudgetExceeded.
 
-    Each round adds one element to B, so three reduced bases are carried
-    from round to round and extended by it: those of <B> (for the normal
-    forms) and <B u {t}> (for dim(<B u {t}>)), and the tagged basis behind
-    <B> : t.  dim(<B u {t,f}>) is computed afresh, and only when
-    dim(<B u {t}>) = dim(R_1), the one case in which the condition can hold,
-    or at the fixed point, whose certificate records it.  `step_budget`
-    bounds the S-pair reductions of each Groebner computation; an extended
-    basis counts only the pairs its new generator adds.
+    Each round adds one element to B, so two reduced bases are carried from
+    round to round and extended by it: those of <B> (for the normal forms,
+    and <B> : t read off it) and <B u {t}> (for dim(<B u {t}>)).
+    dim(<B u {t,f}>) is the basis of <B u {t}> extended by f, computed only
+    when dim(<B u {t}>) = dim(R_1), the one case in which the condition can
+    hold, or at the fixed point, whose certificate records it.
+    `step_budget` bounds the S-pair reductions of each Groebner computation;
+    an extended basis counts only the pairs its new generators add.
 
     Every ideal here is Z^2-homogeneous under `_degree_map`, so all the
-    Groebner work runs under weighted grevlex with the weight d + e of each
-    variable's degree (d, e): (a, b, c, d_i - m_i, 1) on x, y, z, s_i, t, and
-    1 on the tag of the quotient.  The generators are then homogeneous, and
-    Buchberger's pair order works degree by degree (the sugar strategy of
-    Giovini-Mora-Niesi-Robbiano-Traverso, ISSAC 1991, is exact here).  Any
-    positive weights give a valid order, so a weight below 1 is raised to 1.
+    Groebner work runs under weighted grevlex with the weight alpha*d + e of
+    each variable's degree (d, e): (alpha*a, alpha*b, alpha*c,
+    alpha*d_i - m_i, 1) on x, y, z, s_i, t, with alpha >= 1 the least that
+    makes every weight with d > 0 positive.  The weight is linear in the
+    degree, so the generators are homogeneous: Buchberger's pair order works
+    degree by degree (the sugar strategy of Giovini-Mora-Niesi-Robbiano-
+    Traverso, ISSAC 1991, is exact here), and <B> : t can be read off the
+    basis of <B>, t being the last variable.
     """
     mults = rees_multiplicities(instance)
     warnings = []
@@ -194,36 +198,34 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
             warnings.append(f"generator {f} does not vanish at the point")
     ring, s_names, basis = initial_basis(instance, mults)
     degree_map = _degree_map(instance, mults, s_names)
-    weights = tuple(max(1, sum(degree_map[v])) for v in ring)
+    alpha = max([1] + [-e // d + 1 for d, e in degree_map.values() if d > 0])
+    # an s_i of degree (0, 0), from a constant generator c, takes weight 1:
+    # every element of a reduced basis but s_i - c is free of it
+    weights = tuple(max(1, alpha * d + e) for d, e in map(degree_map.get, ring))
     t_poly = SparsePoly.variable(ring, "t")
     f_poly = instance.product.rename_ring(ring)
     dim_r1 = len(instance.variables)
     trace = []
 
-    def dim_tf():
-        return groebner.krull_dimension(
-            Ideal(ring, basis + [t_poly, f_poly]), weights=weights, step_budget=step_budget
-        )
-
     def extend(gb, gens):
         return groebner.buchberger(Ideal(ring, gens), weights=weights, step_budget=step_budget, start=gb)
 
+    def dim_tf():
+        return extend(gb_t, [f_poly]).dimension()
+
     gb = groebner.buchberger(Ideal(ring, basis), weights=weights, step_budget=step_budget)
     gb_t = extend(gb, [t_poly])
-    quotient = groebner.quotient_by(Ideal(ring, basis), t_poly, weights=weights, step_budget=step_budget)
     for _ in range(discovery_budget + 1):
         if trace:
-            added = trace[-1:]
-            gb = extend(gb, added)
-            gb_t = extend(gb_t, added)
-            quotient = quotient.extend(added, step_budget)
+            gb = extend(gb, trace[-1:])
+            gb_t = extend(gb_t, trace[-1:])
         dim_t = gb_t.dimension()
         dims = None
         if dim_t == dim_r1:
             dims = (dim_r1, dim_t, dim_tf())
             if dims[2] is None or dim_t > dims[2]:
                 return Certificate(True, dims, list(basis), trace, mults, warnings)
-        new = discover_saturation_element(quotient, gb, degree_map)
+        new = discover_saturation_element(gb, degree_map)
         if new is None:
             if dims is None:
                 dims = (dim_r1, dim_t, dim_tf())

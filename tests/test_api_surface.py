@@ -22,6 +22,8 @@ ALLOWED_UNCALLED = {
     "m0n.search_weights": "acceptance criterion 7 (weight search)",
     "mult.slice_dim": "acceptance criterion 8 and bench/test_bench.py (tracer spans)",
     "groebner.ideal_member": "acceptance criterion 10 (saturation membership)",
+    "groebner.quotient_by": "the tagged reference of criterion 10 and of the tests' from-scratch verification loop",
+    "groebner.krull_dimension": "the reference of criterion 10 and of the tests' from-scratch verification loop",
     "coxring.VerificationReport.failures": "diagnostics of failed reports in the tests",
     "orthpair.MdsVerdict.is_mori_dream": "acceptance criteria 1-3 (verdict tables)",
     "poly.SparsePoly.monic": "the sympy oracle of the Groebner tests (monic bases)",
@@ -31,6 +33,7 @@ ALLOWED_UNCALLED = {
 ALLOWED_UNSET = {
     "orthpair.mds_test(tie_break)": "acceptance criterion 9 (tie-break independence)",
     "groebner.saturate(step_budget)": "the pinned step-count tests",
+    "groebner.quotient_by(step_budget)": "the pinned step-count tests",
     "cli.main(argv)": "the tests drive the CLI in-process",
 }
 

@@ -237,9 +237,9 @@ def test_verify_gens_step_budget_exhaustion_exit_3(tmp_path, capsys):
     assert err.startswith("resource limit: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("budget, code", [("97", 0), ("96", 3)])
+@pytest.mark.parametrize("budget, code", [("86", 0), ("85", 3)])
 def test_verify_gens_smallest_step_budget(tmp_path, capsys, budget, code):
-    # 97 S-pair reductions are the fewest with which every Groebner
+    # 86 S-pair reductions are the fewest with which every Groebner
     # computation of the fixture's run completes under the weighted order
     text = ir.files("wpp_mori").joinpath("data/verify_gens_7_3_11.txt").read_text()
     path = tmp_path / "inst.txt"
@@ -272,6 +272,19 @@ def test_verify_gens_bad_weights_or_names_exit_2(tmp_path, capsys, line):
     code, out, err = run(capsys, "verify-gens", str(path))
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+    assert "verified" not in out
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("ideal: 1/0*x - y", "zero denominator"), ("ideal: 0", "an ideal generator is zero")],
+)
+def test_verify_gens_bad_ideal_line_exit_2(tmp_path, capsys, line, message):
+    path = tmp_path / "inst.txt"
+    path.write_text(f"weights: 1 1 1\n{line}\nproduct: x*y*z\n")
+    code, out, err = run(capsys, "verify-gens", str(path))
+    assert code == 2
+    assert "error:" in err and message in err and "Traceback" not in err
     assert "verified" not in out
 
 

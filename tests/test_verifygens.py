@@ -119,10 +119,9 @@ def test_initial_basis_shape():
 def test_discover_trivial_cases():
     ring = ("x", "t")
     degree_map = {"x": (1, 0), "t": (0, 1)}
-    t = SparsePoly.variable(ring, "t")
 
     def discover(ideal):
-        return discover_saturation_element(quotient_by(ideal, t), buchberger(ideal), degree_map)
+        return discover_saturation_element(buchberger(ideal), degree_map)
 
     assert str(discover(Ideal(ring, [parse_poly("t*x", ring)]))) == "x"
     # a t-saturated ideal is a fixed point
@@ -238,6 +237,11 @@ def _oracle_instances():
     yield "kstar", parse_instance("weights: 5 2 3\nideal: x - y*z\nideal: y^3 - z^2\nproduct: x*y*z")
     yield "plane", parse_instance("weights: 1 1 1\nideal: x - z\nideal: y - z\nproduct: x*y*z")
     yield "nonvanishing", parse_instance("weights: 1 1 1\nideal: x\nideal: x - y\nproduct: z")
+    # d_i - m_i = 0 for each generator, so the order's alpha is 2
+    yield "squares", parse_instance(
+        "weights: 1 1 1\nideal: x^2 - 2*x*z + z^2\nideal: x*y - x*z - y*z + z^2\n"
+        "ideal: y^2 - 2*y*z + z^2\nproduct: x*y*z"
+    )
 
 
 ORACLE_INSTANCES = list(_oracle_instances())
@@ -255,21 +259,24 @@ def test_carried_bases_give_the_from_scratch_certificate(name, instance):
 def test_tf_dimension_only_where_it_can_decide(monkeypatch):
     # The (3,4,5) guess takes six rounds, with dim <B u {t}> = 5, 4, 4, 4, 3, 3.
     # The from-scratch loop computed dim <B u {t, f}> in each round; the
-    # carried loop computes it only where dim <B u {t}> = dim R_1 = 3.
+    # carried loop extends the basis of <B u {t}> by f only where
+    # dim <B u {t}> = dim R_1 = 3.
     instance = _generator_instance((3, 4, 5), "mult2")
     calls = []
 
-    def counting(ideal, weights=None, step_budget=groebner.DEFAULT_BUDGET):
-        calls.append(ideal)
-        return krull_dimension(ideal, weights, step_budget)
+    def counting(ideal, **options):
+        calls.append((ideal, options.get("start")))
+        return buchberger(ideal, **options)
 
-    monkeypatch.setattr(groebner, "krull_dimension", counting)
+    monkeypatch.setattr(groebner, "buchberger", counting)
     cert = verify(instance)
     assert cert.ok and cert.dims == (3, 3, 2) and len(cert.trace) + 1 == 6
-    assert len(calls) == 2
-    t = SparsePoly.variable(calls[0].variables, "t")
-    f = parse_poly("x*y*z", calls[0].variables)
-    assert [ideal.generators[-2:] for ideal in calls] == [[t, f], [t, f]]
+    ring = calls[0][0].variables
+    t, f = SparsePoly.variable(ring, "t"), parse_poly("x*y*z", ring)
+    by_f = [start for ideal, start in calls if ideal.generators == [f]]
+    assert len(by_f) == 2
+    # each extends a carried basis of <B u {t}>
+    assert all(start is not None and normal_form(t, start).is_zero() for start in by_f)
 
 
 MULT2_C13 = [t for t in coprime_triples(13) if coxring.classify(WeightTriple(*t)).is_mult2]
