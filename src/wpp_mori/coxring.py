@@ -6,11 +6,11 @@ multiplicity-two regime 2a = nb + mc with b >= 3m, c >= 3n (nine relations
 in eight generators, with one generator of Rees multiplicity two).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from . import groebner, mult
+from . import groebner, linalg, mult
 from .poly import SparsePoly
 from .weights import WeightTriple, monoid_member
 
@@ -195,16 +195,16 @@ def mult2_presentation(w):
         raise ValueError(f"{w.as_tuple()} is not in the Mult2 regime")
     a, b, c = cls.reordering
     n, m = cls.n, cls.m
-    cn2, bm2, cp2, bp2, c3n2, b3m2 = _mult2_halves(cls)
+    cn2, bm2, _, _, c3n2, b3m2 = _mult2_halves(cls)
     R = ("x", "y", "z", "s1", "s2", "s3", "s4", "t")
 
     def mono(x=0, y=0, z=0, s1=0, s2=0, s3=0, s4=0, t=0, coeff=1):
         return SparsePoly.monomial(R, (x, y, z, s1, s2, s3, s4, t), coeff)
 
-    relations = (
-        mono(x=2) - mono(y=n, z=m) - mono(s1=1, t=1),
-        mono(x=1, z=bm2) - mono(y=cp2) - mono(s2=1, t=1),
-        mono(x=1, y=cn2) - mono(z=bp2) - mono(s3=1, t=1),
+    f1, f2, f3, f4 = mult2_fs(cls)
+    relations = tuple(
+        f.rename_ring(R) - mono(**{s: 1}, t=1) for f, s in ((f1, "s1"), (f2, "s2"), (f3, "s3"))
+    ) + (
         mono(x=1, y=c3n2, z=b3m2, s1=1) - mono(y=cn2, s2=1)
         - mono(z=bm2, s3=1) - mono(s4=1, t=1),
         mono(y=c3n2, z=b3m2, s1=2) - mono(s2=1, s3=1) - mono(x=1, s4=1),
@@ -214,7 +214,6 @@ def mult2_presentation(w):
         # the y-exponent n is forced by Z^2-homogeneity and the f-identity
         mono(s2=2) + mono(z=b3m2, s1=1, s3=1) - mono(y=n, s4=1),
     )
-    f1, f2, f3, f4 = mult2_fs(cls)
     S = ("x", "y", "z")
     sections = {
         "x": SparsePoly.variable(S, "x"),
@@ -290,10 +289,8 @@ def _lattice_basis_binomials(w, f1, f2):
             return False
         p, q = exps
         vecs.append([i - j for i, j in zip(p, q)])
-    (u0, u1, u2), (v0, v1, v2) = vecs
-    cross = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
     a, b, c = w.as_tuple()
-    return cross in ((a, b, c), (-a, -b, -c))
+    return linalg.cross(*vecs) in ((a, b, c), (-a, -b, -c))
 
 
 def _staircase_size(gens):

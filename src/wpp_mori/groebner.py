@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter, lshift, mul, neg
 
+from . import poly
 from .poly import SparsePoly
 
 
@@ -252,9 +253,9 @@ def _first_width(polys, weights=None):
 
 def _integer_terms(p, pk):
     """(den, terms) with p = terms / den, terms packed by pk with int coefficients."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    den, terms = poly._integer_terms(p)
     encode = pk.encode
-    return den, {encode(e): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    return den, {encode(e): c for e, c in terms.items()}
 
 
 def _primitive(terms):
@@ -359,24 +360,18 @@ def _spoly(f, g, lk):
     return s
 
 
-def _update_pairs(basis, pairs, pair_info, pk):
-    """Gebauer-Moeller pair update on adding the last element of `basis`.
+def _update_pairs(basis, pairs, pk):
+    """Gebauer-Moeller pair update, in place, on adding the last element of `basis`.
 
-    `pair_info` maps each pair of `pairs` to (K, P) of its lcm; it is
-    updated in place to cover exactly the returned set.
+    `pairs` maps each pending pair (i, j) to (K, P) of its lcm.
     """
     t = len(basis) - 1
     pt = basis[t][2]
     guard = pk.guard
     lcms = [pk.lcm(b[2], pt) for b in basis[:t]]
-    kept = set()
-    for pair in pairs:
-        i, j = pair
-        lp = pair_info[pair][1]
-        if (lp - pt) & guard or lp == lcms[i][1] or lp == lcms[j][1]:
-            kept.add(pair)
-        else:
-            del pair_info[pair]
+    for (i, j), (_, lp) in list(pairs.items()):
+        if not (lp - pt) & guard and lp != lcms[i][1] and lp != lcms[j][1]:
+            del pairs[i, j]
     by_lcm = {}
     for i, lcm in enumerate(lcms):
         by_lcm.setdefault(lcm, []).append(i)
@@ -389,9 +384,7 @@ def _update_pairs(basis, pairs, pair_info, pk):
         # drop the whole class if any member has coprime leads
         if any(lcm[1] == basis[i][2] + pt for i in idxs):
             continue
-        kept.add((idxs[0], t))
-        pair_info[(idxs[0], t)] = lcm
-    return kept
+        pairs[idxs[0], t] = lcm
 
 
 def buchberger(ideal, elim=0, weights=None, step_budget=DEFAULT_BUDGET, start=None):
@@ -440,8 +433,7 @@ def _buchberger(base, gens, pk, step_budget):
     """
     gens = sorted((_primitive(_integer_terms(g, pk)[1]) for g in gens), key=max)
     basis = list(base)  # `_element`s, each taken once when it is added
-    pairs = set()
-    pair_info = {}  # pair -> (K, P) of its lcm, for the pairs in `pairs`
+    pairs = {}  # pending pair (i, j) -> (K, P) of its lcm
     steps = 0
     guard = pk.guard
     # Reduction uses the elements whose lead no later lead divides, in basis
@@ -457,24 +449,22 @@ def _buchberger(base, gens, pk, step_budget):
         new = _element(p, pk)
         basis.append(new)
         reducers[:] = [b for b in reducers if (b[2] - new[2]) & guard] + [new]
-        return _update_pairs(basis, pairs, pair_info, pk)
+        _update_pairs(basis, pairs, pk)
 
     for g in gens:
         r, _ = _reduce(g, reducers, pk)
         if r:
-            pairs = add(_primitive(r))
+            add(_primitive(r))
 
     while pairs:
-        pair = min(pairs, key=pair_info.__getitem__)
-        pairs.discard(pair)
-        i, j = pair
-        lk, _ = pair_info.pop(pair)
+        i, j = min(pairs, key=pairs.__getitem__)
+        lk, _ = pairs.pop((i, j))
         steps += 1
         if steps > step_budget:
             raise StepBudgetExceeded(f"pair-reduction budget {step_budget} exhausted")
         r, _ = _reduce(_spoly(basis[i], basis[j], lk), reducers, pk)
         if r:
-            pairs = add(_primitive(r))
+            add(_primitive(r))
 
     if len(basis) == len(base):
         return base

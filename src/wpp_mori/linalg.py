@@ -148,6 +148,11 @@ def in_span(vectors, target):
     return len(cols) - 1 not in _echelon(list(zip(*cols)), len(cols))[1]
 
 
+def cross(u, v):
+    """The cross product u x v of two integer 3-vectors."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

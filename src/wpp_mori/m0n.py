@@ -60,7 +60,11 @@ def parse_reduction(text):
         elif section == "v":
             vs.append(values)
         elif section == "weights":
-            weights = values
+            if weights is not None:
+                raise ValueError("repeated weights line")
+            if len(values) != 3:
+                raise ValueError("weights must be three integers")
+            weights = WeightTriple(*values).as_tuple()
         else:
             raise ValueError("vector line before any section header")
     if not kernel:
@@ -70,8 +74,6 @@ def parse_reduction(text):
     lengths = {len(v) for v in kernel} | {len(v) for v in vs}
     if len(lengths) != 1:
         raise ValueError("vectors have inconsistent lengths")
-    if weights is not None and len(weights) != 3:
-        raise ValueError("weights must be three integers")
     return LatticeReduction(kernel, vs[0], vs[1], vs[2], weights)
 
 
@@ -189,14 +191,8 @@ def search_weights(r, bound):
     positive multiples.  Any two entries of lam * k share the factor lam,
     so only k itself can be pairwise coprime.
     """
-    m = quotient_images(r)
-    r1, r2 = m
-    cross = (
-        r1[1] * r2[2] - r1[2] * r2[1],
-        r1[2] * r2[0] - r1[0] * r2[2],
-        r1[0] * r2[1] - r1[1] * r2[0],
-    )
-    g = gcd(gcd(abs(cross[0]), abs(cross[1])), abs(cross[2]))
+    cross = linalg.cross(*quotient_images(r))
+    g = gcd(*cross)
     if g == 0:
         return []
     k = tuple(x // g for x in cross)

@@ -18,10 +18,6 @@ from .weights import monomials_of_degree
 XYZ = ("x", "y", "z")
 
 
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
 def _short_directions(a, b, c):
     """The three weight-zero directions of least weighted length, up to sign.
 
@@ -65,10 +61,10 @@ def _chart(a, b, c):
     # which by the adjugate formula are (c2 x c0) / det and (c0 x c1) / det,
     # with det = c0 . (c1 x c2) = +-1
     c0, c1, c2 = zip(*v)
-    det = sum(map(mul, c0, _cross(c1, c2)))
-    chart_map = [tuple(det * x for x in _cross(c2, c0)), tuple(det * x for x in _cross(c0, c1))]
+    det = sum(map(mul, c0, linalg.cross(c1, c2)))
+    chart_map = [tuple(det * x for x in linalg.cross(p, q)) for p, q in ((c2, c0), (c0, c1))]
     # the lines of direction t in a degree are the level sets of the normal t x (a, b, c)
-    normals = [_cross(t, (a, b, c)) for t in _short_directions(a, b, c)]
+    normals = [linalg.cross(t, (a, b, c)) for t in _short_directions(a, b, c)]
     return chart_map, [c1, c2], normals
 
 
@@ -192,14 +188,11 @@ def _peeled_zero(w, monos, mu):
 def slice_kernel_vectors(w, d, mu):
     """Kernel basis vectors of the condition matrix (monomial coordinates).
 
-    At mu = 0 there are no conditions: the unit vectors of S_d.  A slice
-    that `_peeled_zero` certifies has no kernel, and its condition matrix is
-    never built.
+    At mu = 0 there are no conditions, and the kernel basis of no rows is
+    the unit vectors of S_d.  A slice that `_peeled_zero` certifies has no
+    kernel, and its condition matrix is never built.
     """
     monos = monomials_of_degree(w, d)
-    if not mu:
-        n = len(monos)
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)], monos
     if _peeled_zero(w, monos, mu):
         return [], monos
     rows, monos = condition_matrix(w, monos, mu)
@@ -300,7 +293,7 @@ def witness_vector(w, d, mu, factor=None, tie_break="first"):
         return None
     # r < len(vecs), so some basis vector lies outside the span of the multiples
     for v in vecs[::-1] if tie_break == "last" else vecs:
-        if not multiples or linalg.rank(multiples + [v]) > r:
+        if not multiples or not linalg.in_span(multiples, v):
             return v, monos
 
 

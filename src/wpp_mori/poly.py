@@ -128,15 +128,7 @@ class SparsePoly:
         )
 
     def __sub__(self, other):
-        self._check_ring(other)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            c = terms.get(exp, 0) - c
-            if c:
-                terms[exp] = c
-            else:
-                del terms[exp]
-        return SparsePoly._trusted(self.variables, terms)
+        return self + -other
 
     def __mul__(self, other):
         self._check_ring(other)
@@ -408,8 +400,7 @@ def parse_poly(text, variables):
             if tokens[i] == "-":
                 sign = -sign
             i += 1
-        elif_ok = i < n
-        if not elif_ok:
+        if i == n:
             if first:
                 break
             raise ValueError("dangling sign in polynomial text")
@@ -446,6 +437,10 @@ def parse_poly(text, variables):
                 i += 1
             else:
                 expect_factor = False
+        if expect_factor:
+            raise ValueError("dangling '*' in polynomial text")
+        if i < n and tokens[i] not in "+-":
+            raise ValueError(f"expected '+', '-' or the end after a term, got {tokens[i]!r}")
         result = result + SparsePoly.monomial(variables, exp, coeff)
         first = False
     return result

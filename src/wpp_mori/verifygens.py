@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import groebner, mult
-from .groebner import Ideal, StepBudgetExceeded
+from .groebner import Ideal
 from .poly import SparsePoly, grevlex_key, parse_poly
 from .weights import WeightTriple
 

@@ -1,7 +1,8 @@
 """Every public top-level function and class of the package, and every public
 method or property of a public class, has a caller in the package; every
 defaulted parameter of those functions and methods is set by a caller in the
-package; and the package imports nothing outside the standard library.
+package; every name a module imports is used in that module; and the package
+imports nothing outside the standard library.
 
 A public name whose only caller is its own unit test is dead weight: it has to
 be kept correct and documented but serves no command.  So is an option that no
@@ -122,6 +123,20 @@ def test_every_defaulted_parameter_is_set_by_a_caller_in_the_package():
         ]
     # an allowed option that gains a caller leaves the list, so the list stays exact
     assert sorted(unset) == sorted(ALLOWED_UNSET)
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.stem}: {name}")
+    assert unused == []
 
 
 def test_runtime_imports_are_stdlib_only():

@@ -262,7 +262,7 @@ def test_verify_gens_negative_budget_exit_2(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize(
     "line",
-    ["weights: 3 4", "vars: x y t", "vars: x y z w", "vars: x y s1", "vars: x y 2"],
+    ["weights: 3 4", "vars: x y t", "vars: x y z w", "vars: x y s1", "vars: x y 2", "product: x y z"],
 )
 def test_verify_gens_bad_weights_or_names_exit_2(tmp_path, capsys, line):
     lines = {"weights": "weights: 1 1 1", "ideal": "ideal: x - y", "product": "product: x"}
@@ -309,10 +309,20 @@ def test_m0n_fixture(tmp_path, capsys):
 
 
 def test_m0n_malformed(tmp_path, capsys):
+    fixture = ir.files("wpp_mori").joinpath("data/m0n_n10.txt").read_text()
     path = tmp_path / "red.txt"
-    path.write_text("kernel:\n1 0\n")
-    code, _, err = run(capsys, "m0n", str(path))
-    assert code == 2
+    for text in [
+        "kernel:\n1 0\n",
+        fixture.replace("17 13 12", "0 0 0"),
+        fixture.replace("17 13 12", "-17 -13 -12"),
+        fixture.replace("17 13 12", "34 26 24"),
+        fixture + "1 2 3\n",
+    ]:
+        path.write_text(text)
+        code, out, err = run(capsys, "m0n", str(path))
+        assert code == 2, text
+        assert "error:" in err and "Traceback" not in err
+        assert "verified" not in out
 
 
 def test_coprime_triples():

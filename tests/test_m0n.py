@@ -47,6 +47,10 @@ def test_parse_errors():
         parse_reduction("bogus:\n1 0")
     with pytest.raises(ValueError):
         parse_reduction("1 0 1")  # vector before any section
+    base = "kernel:\n1 0\nv:\n1 0\n0 1\n1 1\nweights:\n"
+    for weights in ("0 0 0", "-17 -13 -12", "34 26 24", "17 13 12\n1 2 3"):
+        with pytest.raises(ValueError):
+            parse_reduction(base + weights)  # not a WeightTriple, or a second line
 
 
 def test_reference_projection_annihilates_kernel():

@@ -108,21 +108,42 @@ def test_tie_break_does_not_change_signature():
 
 
 def test_multiples_of_f1_are_independent(monkeypatch):
-    # witness_vector takes the number of f1's multiples for their rank
+    # witness_vector takes the number of f1's multiples for their rank, and
+    # picks the f2 witness by `linalg.in_span`; the oracle is the rank rule:
+    # the first (or last) kernel basis vector v with
+    # rank(multiples + [v]) > len(multiples)
     sizes = []
-    real = mult._multiple_vectors
+    checked = []
+    real_multiples = mult._multiple_vectors
+    real_witness = mult.witness_vector
 
     def record(*args):
-        out = real(*args)
+        out = real_multiples(*args)
         if out:
             sizes.append((linalg.rank(out), len(out)))
         return out
 
+    def against_rank(w, d, mu, factor=None, tie_break="first"):
+        found = real_witness(w, d, mu, factor, tie_break)
+        if factor is not None:
+            vecs, monos = mult.slice_kernel_vectors(w, d, mu)
+            multiples = real_multiples(w, factor, d, mu, monos)
+            r = len(multiples)
+            order = vecs[::-1] if tie_break == "last" else vecs
+            v = next((v for v in order if linalg.rank(multiples + [v]) > r), None)
+            assert found == (None if v is None else (v, monos))
+            checked.append(tie_break)
+        return found
+
     monkeypatch.setattr(mult, "_multiple_vectors", record)
-    for triple in coprime_triples(13):
-        mds_test(WeightTriple(*triple), 11)
-    assert len(sizes) == 70
+    monkeypatch.setattr(mult, "witness_vector", against_rank)
+    for tie_break in ("first", "last"):
+        for triple in coprime_triples(13):
+            mds_test(WeightTriple(*triple), 11, tie_break=tie_break)
+        if tie_break == "first":
+            assert len(sizes) == 70
     assert all(r == n for r, n in sizes)
+    assert checked.count("first") == checked.count("last") == 128
 
 
 def _plain_f1(w, d_cap, tie_break):

@@ -73,6 +73,10 @@ def test_parse_goldens():
         P("x + w")
     with pytest.raises(ValueError):
         P("x ^ y")
+    # two factors side by side are not a sum, and a '*' needs a factor after it
+    for text in ("2x", "x y", "3/2 x", "x*"):
+        with pytest.raises(ValueError):
+            P(text)
 
 
 def test_parse_zero_denominator_is_a_value_error():
