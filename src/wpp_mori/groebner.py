@@ -60,31 +60,28 @@ def _block_spans(n, elim):
 
 
 def _weights(weights, n):
-    """The canonical form of an order's weights: None for all ones, else a tuple of n positive ints."""
-    if weights is None:
-        return None
-    weights = tuple(weights)
+    """An order's weights as a tuple of n positive ints; None is all ones."""
+    weights = (1,) * n if weights is None else tuple(weights)
     if len(weights) != n or not all(type(w) is int and w > 0 for w in weights):
         raise ValueError(f"weights must be {n} positive ints, got {weights}")
-    return None if all(w == 1 for w in weights) else weights
+    return weights
 
 
 class GroebnerBasis:
     """A reduced Groebner basis: its ring, its order (`elim`, `weights`, see
     `_order_key`) and its monic elements in ascending order of their leads.
 
-    A basis from `buchberger` holds the packed primitive integer elements it
-    was computed in (`_int`), and makes the `SparsePoly` elements from them
-    only when they are asked for (`elements` None); a basis built from its
-    elements packs them on first use.
+    It is its packing and its packed primitive integer `_element`s (`_int`),
+    sorted by lead, as `buchberger` or `quotient_by_last` computed them; the
+    monic `SparsePoly` elements are made from them when first asked for.
     """
 
-    def __init__(self, variables, elements, elim=0, weights=None):
+    def __init__(self, variables, pk, basis):
         self.variables = variables
-        self._elements = elements
-        self.elim = elim
-        self.weights = weights
-        self._int = None  # (packing, `_element`s) of the elements
+        self.elim = pk.elim
+        self.weights = pk.weights
+        self._int = pk, basis
+        self._elements = None
 
     @property
     def elements(self):
@@ -100,14 +97,19 @@ class GroebnerBasis:
             other.variables, other.elim, other.weights, other.elements)
 
     def __repr__(self):
-        return f"GroebnerBasis({self.variables!r}, {self.elements!r}, {self.elim!r}, {self.weights!r})"
+        return f"GroebnerBasis({self.variables!r}, elim={self.elim!r}, weights={self.weights!r}, elements={self.elements!r})"
 
     def _packed(self, w=0):
-        """(packing, `_element`s) of the elements, in a packing at least w bits wide."""
-        if self._int is None or self._int[0].w < w:
-            pk = _Packing(len(self.variables), self.elim,
-                          max(w, _first_width(self.elements, self.weights)), self.weights)
-            self._int = pk, [_element(_integer_terms(h, pk)[1], pk) for h in self.elements]
+        """(packing, `_element`s) of the elements, in a packing at least w bits wide.
+
+        A wider packing re-keys each term: decoded by the old packing and
+        encoded by the new one, with the same integer coefficient.
+        """
+        old, basis = self._int
+        if old.w < w:
+            pk = _Packing(len(self.variables), self.elim, w, self.weights)
+            self._int = pk, [_element({pk.encode(old.decode(k)): c for k, c in b[0].items()}, pk)
+                             for b in basis]
         return self._int
 
     def dimension(self):
@@ -156,9 +158,7 @@ class GroebnerBasis:
                     raise AssertionError("an element whose lead contains v has a term without v")
                 b = _element({k - kv: c for k, c in b[0].items()}, pk)
             out.append(b)
-        gb = GroebnerBasis(self.variables, None, self.elim, self.weights)
-        gb._int = pk, _reduced(out, pk)
-        return gb
+        return GroebnerBasis(self.variables, pk, _reduced(out, pk))
 
 
 DEFAULT_BUDGET = 10 ** 6
@@ -190,9 +190,10 @@ class _Packing:
     still compares exactly; a popped term at the limit raises _Widen.
     """
 
-    def __init__(self, n, elim, w, weights=None):
+    def __init__(self, n, elim, w, weights):
         self.w = w
-        self.weights = weights or (1,) * n
+        self.elim = elim
+        self.weights = weights
         self.limit = 1 << (w - 2)
         self.mask = (1 << w) - 1
         self.shifts = [0] * n  # bit offset of each variable's field
@@ -245,9 +246,9 @@ class _Packing:
         return k, p
 
 
-def _first_width(polys, weights=None):
-    """A field width whose limit exceeds every weighted total degree in polys (weights None: all ones)."""
-    d = max((sum(map(mul, e, weights)) if weights else sum(e) for p in polys for e in p.terms), default=0)
+def _first_width(polys, weights):
+    """A field width whose limit exceeds every weighted total degree in polys."""
+    d = max((sum(map(mul, e, weights)) for p in polys for e in p.terms), default=0)
     return d.bit_length() + 4
 
 
@@ -419,9 +420,7 @@ def buchberger(ideal, elim=0, weights=None, step_budget=DEFAULT_BUDGET, start=No
             break
         except _Widen:
             w = 2 * pk.w
-    gb = GroebnerBasis(ideal.variables, None, elim, weights)
-    gb._int = pk, reduced
-    return gb
+    return GroebnerBasis(ideal.variables, pk, reduced)
 
 
 def _buchberger(base, gens, pk, step_budget):

@@ -157,15 +157,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
-        for i in range(n)
-    ]
-
-
 def smith_normal_form(a):
     """Smith normal form with transforms: returns (d, u, v) with u*a*v = d.
 

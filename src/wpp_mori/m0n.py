@@ -7,7 +7,7 @@ a*v1 + b*v2 + c*v3 in N'.  Everything is checked by Smith normal form.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Optional
 
 from . import linalg
@@ -77,6 +77,12 @@ def parse_reduction(text):
     return LatticeReduction(kernel, vs[0], vs[1], vs[2], weights)
 
 
+def _smith(rows):
+    """(diagonal, V) of the Smith normal form U*rows*V = D: the invariant factors, then zeros."""
+    d, _, v = linalg.smith_normal_form([list(row) for row in rows])
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))], v
+
+
 def _quotient_map(generators, ambient):
     """Columns-of-V chart for N/N': returns (projector rows, rank) or None.
 
@@ -84,14 +90,11 @@ def _quotient_map(generators, ambient):
     x*V identifies N/N' with Z^{ambient-rank} exactly when all invariant
     factors are 1 (N' saturated).
     """
-    g = [list(row) for row in generators]
-    d, u, v = linalg.smith_normal_form(g)
-    rank = sum(
-        1 for i in range(min(len(d), ambient)) if i < len(d[0] if d else []) and d[i][i] != 0
-    )
-    for i in range(rank):
-        if d[i][i] != 1:
-            return None, rank
+    diagonal, v = _smith(generators)
+    factors = [x for x in diagonal if x]
+    rank = len(factors)
+    if any(x != 1 for x in factors):
+        return None, rank
     # x*V has the quotient coordinates in its last (ambient - rank) slots
     cols = [[v[r][j] for r in range(ambient)] for j in range(rank, ambient)]
     return cols, rank
@@ -118,9 +121,7 @@ def verify_reduction(r):
         return False, diags
     diags.append(f"sublattice saturated of rank {rank}")
     images = [_project(cols, v) for v in (r.v1, r.v2, r.v3)]
-    img_matrix = [list(w) for w in images]
-    d, _, _ = linalg.smith_normal_form(img_matrix)
-    invariants = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    invariants, _ = _smith(images)
     if sorted(x for x in invariants if x) != [1, 1]:
         diags.append(f"images do not generate the quotient: invariants {invariants}")
         return False, diags
@@ -149,38 +150,17 @@ def quotient_images(r):
 
 
 def unimodular_equivalent(m1, m2):
-    """True iff m2 = T*m1 for some 2x2 integer T with det +-1."""
+    """True iff m2 = T*m1 for some 2x2 integer T with det +-1.
+
+    That holds iff m1 has rank 2 and the row lattices of m1 and m2 are
+    equal.  For lattices L in M of equal rank, [M : L] = d(L)/d(M), d the
+    product of the nonzero invariant factors; so the test is that m1, m2
+    and m1 stacked on m2 all have rank 2 and the same d.
+    """
     if len(m1) != 2 or len(m2) != 2 or len(m1[0]) != len(m2[0]):
         return False
-    ncols = len(m1[0])
-    for i in range(ncols):
-        for j in range(i + 1, ncols):
-            det = m1[0][i] * m1[1][j] - m1[0][j] * m1[1][i]
-            if det == 0:
-                continue
-            # T = m2[:, (i,j)] * inverse(m1[:, (i,j)])
-            inv = [
-                [m1[1][j], -m1[0][j]],
-                [-m1[1][i], m1[0][i]],
-            ]
-            tnum = [
-                [
-                    m2[0][i] * inv[0][0] + m2[0][j] * inv[1][0],
-                    m2[0][i] * inv[0][1] + m2[0][j] * inv[1][1],
-                ],
-                [
-                    m2[1][i] * inv[0][0] + m2[1][j] * inv[1][0],
-                    m2[1][i] * inv[0][1] + m2[1][j] * inv[1][1],
-                ],
-            ]
-            if any(x % det for row in tnum for x in row):
-                return False
-            t = [[x // det for x in row] for row in tnum]
-            if abs(t[0][0] * t[1][1] - t[0][1] * t[1][0]) != 1:
-                return False
-            prod = linalg.mat_mul(t, m1)
-            return prod == [list(r) for r in m2]
-    return False
+    factors = [[x for x in _smith(m)[0] if x] for m in (m1, m2, [*m1, *m2])]
+    return all(len(f) == 2 for f in factors) and len({prod(f) for f in factors}) == 1
 
 
 def search_weights(r, bound):

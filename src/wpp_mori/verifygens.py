@@ -42,8 +42,11 @@ class BlowupInput:
         clash = sorted(reserved.intersection(self.variables))
         if clash:
             raise ValueError(f"variable names {clash} are reserved for the Rees ring")
-        if self.product.is_zero():
-            raise ValueError("the non-vanishing product must be nonzero")
+        # the criterion wants a product of the R_1-generators; a constant
+        # makes <B u {t, f}> the unit ideal and the dimension test vacuous
+        terms = list(self.product.terms)
+        if len(terms) != 1 or not any(terms[0]):
+            raise ValueError(f"the product must be one term of positive degree, not {self.product}")
         for g in self.ideal_gens:
             if g.is_zero():
                 raise ValueError("an ideal generator is zero")
@@ -172,10 +175,10 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
     fixed point without meeting it is a definitive negative; running out of
     discovery iterations raises DiscoveryBudgetExceeded.
 
-    Each round adds one element to B, so two reduced bases are carried from
-    round to round and extended by it: those of <B> (for the normal forms,
-    and <B> : t read off it) and <B u {t}> (for dim(<B u {t}>)).
-    dim(<B u {t,f}>) is the basis of <B u {t}> extended by f, computed only
+    Each round adds one element to B, so the reduced basis of <B> (for the
+    normal forms, and <B> : t read off it) is carried from round to round
+    and extended by it.  dim(<B u {t}>) is the basis of <B> extended by t,
+    and dim(<B u {t,f}>) that basis extended by f, computed only
     when dim(<B u {t}>) = dim(R_1), the one case in which the condition can
     hold, or at the fixed point, whose certificate records it.
     `step_budget` bounds the S-pair reductions of each Groebner computation;
@@ -214,11 +217,10 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
         return extend(gb_t, [f_poly]).dimension()
 
     gb = groebner.buchberger(Ideal(ring, basis), weights=weights, step_budget=step_budget)
-    gb_t = extend(gb, [t_poly])
     for _ in range(discovery_budget + 1):
         if trace:
             gb = extend(gb, trace[-1:])
-            gb_t = extend(gb_t, trace[-1:])
+        gb_t = extend(gb, [t_poly])
         dim_t = gb_t.dimension()
         dims = None
         if dim_t == dim_r1:

@@ -262,7 +262,7 @@ def test_verify_gens_negative_budget_exit_2(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize(
     "line",
-    ["weights: 3 4", "vars: x y t", "vars: x y z w", "vars: x y s1", "vars: x y 2", "product: x y z"],
+    ["weights: 3 4", "vars: x y t", "vars: x y z w", "vars: x y s1", "vars: x y 2", "product: x y z", "product: 1"],
 )
 def test_verify_gens_bad_weights_or_names_exit_2(tmp_path, capsys, line):
     lines = {"weights": "weights: 1 1 1", "ideal": "ideal: x - y", "product": "product: x"}

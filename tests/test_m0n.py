@@ -3,8 +3,10 @@
 import importlib.resources as ir
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wpp_mori import m0n
+from wpp_mori import linalg, m0n
 from wpp_mori.m0n import (
     LatticeReduction,
     parse_reduction,
@@ -150,6 +152,29 @@ def test_unimodular_equivalent_negatives():
     assert not unimodular_equivalent([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 2, 0]])
     assert not unimodular_equivalent([[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]])
     assert unimodular_equivalent([[1, 0, 1], [0, 1, 1]], [[0, 1, 1], [1, 0, 1]])
+
+
+@st.composite
+def matrix_and_transform(draw):
+    """A 2 x c integer matrix, rank-deficient a third of the time, and a 2 x 2
+    integer T with det 0, +-1 or +-2."""
+    c = draw(st.integers(2, 4))
+    entry = st.integers(-3, 3)
+    m1 = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(2)]
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(-2, 2))
+        m1[1] = [k * x for x in m1[0]]
+    t = draw(st.tuples(entry, entry, entry, entry).filter(lambda t: abs(t[0] * t[3] - t[1] * t[2]) <= 2))
+    return m1, [list(t[:2]), list(t[2:])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matrix_and_transform())
+def test_unimodular_equivalent_iff_rank_two_and_unit_determinant(case):
+    m1, t = case
+    m2 = [[t[i][0] * x + t[i][1] * y for x, y in zip(*m1)] for i in range(2)]
+    det = t[0][0] * t[1][1] - t[0][1] * t[1][0]
+    assert unimodular_equivalent(m1, m2) == (linalg.rank(m1) == 2 and abs(det) == 1)
 
 
 def test_verify_without_weights():

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.resources as ir
+import re
 
 import pytest
 
@@ -45,6 +46,15 @@ def test_parse_errors():
     with pytest.raises(ValueError):
         # inhomogeneous generator
         parse_instance("weights: 1 2 3\nideal: x + y\nproduct: x")
+
+
+@pytest.mark.parametrize("product", ["1", "2", "0", "x + y"])
+def test_product_must_be_one_term_of_positive_degree(product):
+    # a constant makes <B u {t, f}> the unit ideal, so the dimension test
+    # would hold with no meaning
+    text = f"weights: 3 4 5\nideal: x^4 - y^3\nideal: -y^2 + x*z\nproduct: {product}"
+    with pytest.raises(ValueError, match=f"one term of positive degree, not {re.escape(product)}$"):
+        parse_instance(text)
 
 
 @pytest.mark.parametrize("weights", ["3 4", "3 4 5 6", ""])
@@ -328,5 +338,5 @@ def test_mult2_guess_certificates(triple):
     # each discovered element lies in <B_0> : t^oo, read off its reduced grevlex basis
     ring, _, b0 = initial_basis(instance, cert.multiplicities)
     sat = groebner.saturate(Ideal(ring, b0), SparsePoly.variable(ring, "t"))
-    gb = groebner.GroebnerBasis(ring, sat.generators)
+    gb = groebner.buchberger(sat)
     assert cert.trace and all(normal_form(g, gb).is_zero() for g in cert.trace)
