@@ -112,6 +112,20 @@ class GroebnerBasis:
                              for b in basis]
         return self._int
 
+    def elements_not_in(self, other):
+        """The monic elements of this basis that are not elements of the basis `other`.
+
+        Both are compared packed, in one packing wide enough for both.  The
+        leads of a reduced basis are distinct, so an element is in `other`
+        iff `other` has an element with its lead and its terms.
+        """
+        if (self.variables, self.elim, self.weights) != (other.variables, other.elim, other.weights):
+            raise ValueError("the bases are in different rings or orders")
+        w = max(self._int[0].w, other._int[0].w)
+        theirs = {b[1]: b[0] for b in other._packed(w)[1]}
+        pk, basis = self._packed(w)
+        return [_poly(b, pk, self.variables) for b in basis if theirs.get(b[1]) != b[0]]
+
     def dimension(self):
         """Krull dimension of the quotient ring by the basis's ideal, or None for the unit ideal.
 

@@ -88,9 +88,10 @@ def _quotient_map(generators, ambient):
 
     With U*G*V = D in Smith normal form, the map x -> last coordinates of
     x*V identifies N/N' with Z^{ambient-rank} exactly when all invariant
-    factors are 1 (N' saturated).
+    factors are 1 (N' saturated).  No generators span N' = 0, saturated of
+    rank 0, and the chart is the identity.
     """
-    diagonal, v = _smith(generators)
+    diagonal, v = _smith(generators) if generators else ([], linalg.identity(ambient))
     factors = [x for x in diagonal if x]
     rank = len(factors)
     if any(x != 1 for x in factors):

@@ -126,33 +126,38 @@ def slice_dim(w, d, mu):
     return len(monos) - linalg.rank(rows)
 
 
-def _peeled_zero(w, monos, mu):
-    """True only if V(d, mu) = 0 for the monomials monos of degree d.
+def _peel(w, monos, mu):
+    """Residual (rest, m') of the line peel of the monomials monos of degree d.
 
     The rows C(u, alpha) * C(v, beta), alpha + beta < mu, span the
     polynomials of degree <= m = mu - 1 on the distinct chart points Z of
-    the monomials, so the kernel is 0 iff Z imposes independent conditions
-    in degree m.  Residual lemma: if a line L holds at most m + 1 points of
-    Z and the points of Z off L are independent in degree m - 1, then Z is
-    independent in degree m.  Interpolate the values on L by a univariate
-    polynomial of degree <= m, then correct the values off L by l * h,
-    where l is the line's equation and deg h <= m - 1.  The empty set is
-    independent in every degree.
+    the monomials, so V(d, mu) = 0 iff Z imposes independent conditions in
+    degree m.  Any m + 1 distinct points do: through all but one of them
+    pass m lines that miss that one.  Residual lemma: if a line L holds at
+    most m + 1 points of Z and the points of Z off L are independent in
+    degree m - 1, then Z is independent in degree m.  Interpolate the values
+    on L by a univariate polynomial of degree <= m, then correct the values
+    off L by l * h, where l is the line's equation and deg h <= m - 1.
 
     A line is {e : n.e = k} for a weight-zero direction t and its normal
     n = t x (a, b, c); the chart is affine, so it is a line in (u, v) too.
     The peel takes the three directions of least weighted length.  At each
     step it removes the line with the most points among those with at most
     m + 1 (of equal ones, the first in the shortest direction) and lowers m
-    by one; it gives up when more points remain than the (m + 1)(m + 2) / 2
-    monomials of degree <= m.  Line counts drop as points go.  The
-    directions decide only how often the peel succeeds, never its answer;
-    False proves nothing.
+    by one, while the points left fit the (m + 1)(m + 2) / 2 monomials of
+    degree <= m.  Line counts drop as points go.  It stops once at most
+    m + 1 points are left, and then rest is empty: V(d, mu) = 0.  Otherwise
+    rest is the monomials of the points left, m' their degree, and by the
+    lemma V(d, mu) = 0 if rest is independent in degree m'; rest is monos
+    itself when the peel takes no step.  The directions decide only how far
+    the peel gets, never what rest certifies.
     """
     left = len(monos)
     m = mu - 1
+    if left <= m + 1:
+        return [], m
     if 2 * left > (m + 1) * (m + 2):
-        return False
+        return monos, m
     normals = _chart(w.a, w.b, w.c)[2]
     keys = [[p * x + q * y + r * z for x, y, z in monos] for p, q, r in normals]
     lines = []
@@ -163,15 +168,15 @@ def _peeled_zero(w, monos, mu):
         lines.append(members)
     counts = [{k: len(ids) for k, ids in members.items()} for members in lines]
     alive = [True] * left
-    while left:
+    while True:
         # max keeps the first of equal counts: the shortest direction's first line
         best = max(
             ((n, j, k) for j, cnt in enumerate(counts) for k, n in cnt.items() if 0 < n <= m + 1),
             key=lambda t: t[0],
             default=None,
         )
-        if best is None:
-            return False
+        if best is None or 2 * (left - best[0]) > m * (m + 1):
+            return [mono for mono, a in zip(monos, alive) if a], m
         n, j, key = best
         for i in lines[j][key]:
             if alive[i]:
@@ -180,20 +185,24 @@ def _peeled_zero(w, monos, mu):
                     cnt[ks[i]] -= 1
         left -= n
         m -= 1
-        if 2 * left > (m + 1) * (m + 2):
-            return False
-    return True
+        if left <= m + 1:
+            return [], m
 
 
 def slice_kernel_vectors(w, d, mu):
     """Kernel basis vectors of the condition matrix (monomial coordinates).
 
     At mu = 0 there are no conditions, and the kernel basis of no rows is
-    the unit vectors of S_d.  A slice that `_peeled_zero` certifies has no
-    kernel, and its condition matrix is never built.
+    the unit vectors of S_d.  A slice whose `_peel` residual is empty, or
+    whose smaller residual rest has full column rank mod p in its degree m'
+    (chart exponents relative to rest[0] only translate the points), has no
+    kernel, and its condition matrix is never built.  Every other slice takes
+    the full condition matrix to `linalg.kernel_basis`.
     """
     monos = monomials_of_degree(w, d)
-    if _peeled_zero(w, monos, mu):
+    rest, m = _peel(w, monos, mu)
+    if not rest or len(rest) < len(monos) and linalg._full_rank_mod_p(
+            condition_matrix(w, rest, m + 1)[0], len(rest)):
         return [], monos
     rows, monos = condition_matrix(w, monos, mu)
     return linalg.kernel_basis(rows, len(monos)), monos

@@ -149,10 +149,11 @@ def discover_saturation_element(gb, degree_map):
     basis of <B> : t, read off `gb` (`GroebnerBasis.quotient_by_last`); the
     returned element has minimal Z^2-degree under `degree_map`, with grevlex
     on the leading term breaking ties, whatever order `gb` is under: the
-    choice decides the certificate.
+    choice decides the certificate.  An element of `gb` itself reduces to
+    0, so it takes no normal form.
     """
     candidates = []
-    for g in gb.quotient_by_last().elements:
+    for g in gb.quotient_by_last().elements_not_in(gb):
         r = groebner.normal_form(g, gb)
         if not r.is_zero():
             candidates.append(r.primitive())

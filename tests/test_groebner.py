@@ -527,6 +527,19 @@ def test_quotient_by_last_refuses_an_inhomogeneous_basis():
         buchberger(I("x*t", ring=XYZT), elim=1).quotient_by_last()
 
 
+def test_elements_not_in_compares_packed_elements():
+    gb = buchberger(I("x*t - y*t", "z", ring=XYZT))
+    quot = gb.quotient_by_last()
+    # z is an element of both bases, x - y only of the read-off
+    assert quot.elements_not_in(gb) == [P("x - y", XYZT)]
+    assert gb.elements_not_in(gb) == [] and gb.elements_not_in(quot) == [P("x*t - y*t", XYZT)]
+    # a wider packing of one side re-keys its elements, and nothing else changes
+    gb._packed(2 * gb._int[0].w)
+    assert quot.elements_not_in(gb) == [P("x - y", XYZT)]
+    with pytest.raises(ValueError, match="different rings or orders"):
+        quot.elements_not_in(buchberger(I("x*t - y*t", "z", ring=XYZT), weights=(1, 1, 2, 1)))
+
+
 def sympy_ring(variables):
     return sympy.polys.rings.ring(",".join(variables), sympy.QQ, sympy.polys.orderings.grevlex)[0]
 

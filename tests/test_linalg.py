@@ -1,6 +1,7 @@
 """Exact linear algebra: rank, kernels, Smith normal form."""
 
 import random
+from collections import Counter
 from math import gcd, lcm
 
 import pytest
@@ -104,46 +105,50 @@ def test_full_rank_certificate_misses_when_p_divides_the_determinant(p):
 
 
 def _visited_slices(monkeypatch, w, mu_cap):
-    """Condition matrices of the slices mds_test(w, mu_cap) eliminates, and of
-    the slices the line peel certifies without eliminating them."""
-    seen, peeled = [], []
-    kernel_basis, peeled_zero = linalg.kernel_basis, mult._peeled_zero
-
-    def record(rows, ncols):
-        seen.append((rows, ncols))
-        return kernel_basis(rows, ncols)
+    """(verdict, slices) of mds_test(w, mu_cap).  Each slice it visits is
+    [route, full condition matrix, number of monomials, residual size], its
+    route the one that decided it: "empty" residual, "residual" certificate,
+    or "full" matrix to `kernel_basis`."""
+    slices = []
+    peel, kernel_basis = mult._peel, linalg.kernel_basis
 
     def record_peel(w, monos, mu):
-        if not peeled_zero(w, monos, mu):
-            return False
-        peeled.append((mult.condition_matrix(w, monos, mu)[0], len(monos)))
-        return True
+        rest, m = peel(w, monos, mu)
+        rows = mult.condition_matrix(w, monos, mu)[0]
+        slices.append(["residual" if rest else "empty", rows, len(monos), len(rest)])
+        return rest, m
 
+    def record(rows, ncols):
+        slices[-1][0] = "full"
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(mult, "_peel", record_peel)
     monkeypatch.setattr(linalg, "kernel_basis", record)
-    monkeypatch.setattr(mult, "_peeled_zero", record_peel)
     verdict = orthpair.mds_test(w, mu_cap)
     monkeypatch.undo()
-    return verdict, seen, peeled
+    return verdict, slices
 
 
 def test_full_rank_certificate_on_condition_matrices(monkeypatch):
-    verdict, seen, peeled = _visited_slices(monkeypatch, WeightTriple(9, 10, 13), 11)
+    verdict, slices = _visited_slices(monkeypatch, WeightTriple(9, 10, 13), 11)
     # find_f1 visits 108 of the 385 degrees and infers the rest; the peel
-    # certifies 78 of them, and 30 are eliminated
-    assert verdict.outcome == "Inconclusive" and len(seen) == 30
-    assert len(peeled) + len(seen) == 108
-    # every slice it eliminates is certified, and correctly so
-    assert all(linalg._full_rank_mod_p(rows, n) for rows, n in seen)
-    assert all(linalg.rank(rows) == n for rows, n in seen + peeled)
-    for triple in [(2, 3, 5), (7, 3, 11), (4, 5, 7), (3, 5, 7)]:
-        verdict, seen, peeled = _visited_slices(monkeypatch, WeightTriple(*triple), 6)
+    # leaves no point of 78 of them, and the certificate of the residual,
+    # smaller than the slice, decides the other 30: no full matrix at all
+    routes = Counter(route for route, *_ in slices)
+    assert verdict.outcome == "Inconclusive"
+    assert routes == {"empty": 78, "residual": 30}
+    assert all(r < n for route, _, n, r in slices if route == "residual")
+    # every slice it certifies is zero, and correctly so
+    assert all(linalg.rank(rows) == n for _, rows, n, _ in slices)
+    # f1 and f2 each take one full matrix, with a kernel; the peel empties the rest
+    for triple, empty in [((2, 3, 5), 5), ((7, 3, 11), 6), ((4, 5, 7), 19), ((3, 5, 7), 10)]:
+        verdict, slices = _visited_slices(monkeypatch, WeightTriple(*triple), 6)
         assert verdict.is_mori_dream
-        visited = seen + peeled
-        full = [linalg.rank(rows) == n for rows, n in visited]
-        assert 0 < sum(full) < len(visited)
-        assert all(full[len(seen):])
-        for (rows, n), exact in zip(visited, full):
-            if len(rows) >= n and linalg._full_rank_mod_p(rows, n):
+        assert Counter(route for route, *_ in slices) == {"empty": empty, "full": 2}
+        full = [linalg.rank(rows) == n for _, rows, n, _ in slices]
+        assert 0 < sum(full) < len(slices)
+        for (route, rows, n, _), exact in zip(slices, full):
+            if route != "full" or len(rows) >= n and linalg._full_rank_mod_p(rows, n):
                 assert exact
 
 

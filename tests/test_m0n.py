@@ -183,3 +183,20 @@ def test_verify_without_weights():
     ok, diags = verify_reduction(nw)
     assert ok
     assert any("not checked" in d for d in diags)
+
+
+def test_n5_reduction_with_no_generators():
+    # n = 5: N' = 0 is saturated of rank 0, and N/N' = Z^2 with the identity chart
+    ok, diags = verify_reduction(LatticeReduction([], (1, 0), (0, 1), (1, 1)))
+    assert ok and diags == [
+        "sublattice saturated of rank 0",
+        "projected vectors generate the quotient Z^2",
+        "no weights given; congruence not checked",
+    ]
+    r = LatticeReduction([], (1, 0), (0, 1), (-1, -1), (1, 1, 1))
+    ok, diags = verify_reduction(r)
+    assert ok and diags[-1] == "1*v1 + 1*v2 + 1*v3 lies in N'"
+    assert quotient_images(r) == [[1, 0, -1], [0, 1, -1]]
+    assert search_weights(r, 5) == [(1, 1, 1)]
+    ok, diags = verify_reduction(LatticeReduction([], (1, 0), (0, 1), (1, 1), (1, 1, 1)))
+    assert not ok and diags[-1].startswith("congruence fails")

@@ -245,25 +245,56 @@ def test_short_directions_are_the_shortest_weight_zero_vectors():
         assert mult._short_directions(*triple) == [v for _, v in shortest]
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(TRIPLES + cli.coprime_triples(20)), st.integers(1, 9), st.data())
-def test_peel_certifies_only_full_rank_slices(triple, mu, data):
+@st.composite
+def peel_slices(draw):
+    """(w, d, mu) of a slice with mu >= 1 that the line peel may shrink."""
+    triple = draw(st.sampled_from(TRIPLES + cli.coprime_triples(20)))
+    mu = draw(st.integers(1, 9))
     w = WeightTriple(*triple)
     # up to about mu * sqrt(abc) most slices have few enough monomials to peel
-    d = data.draw(st.integers(0, mu * isqrt(w.abc) + max(triple)))
+    return w, draw(st.integers(0, mu * isqrt(w.abc) + max(triple))), mu
+
+
+@settings(max_examples=150, deadline=None)
+@given(peel_slices())
+def test_peel_certifies_only_full_rank_slices(slice_):
+    # the residual lemma in exact arithmetic: the slice is independent in
+    # degree mu - 1 if its residual is independent in degree m'
+    w, d, mu = slice_
     monos = monomials_of_degree(w, d)
-    if mult._peeled_zero(w, monos, mu):
+    rest, m = mult._peel(w, monos, mu)
+    assert set(rest) <= set(monos)
+    assert len(rest) == len(monos) or 2 * len(rest) <= (m + 1) * (m + 2)
+    if not rest or linalg.rank(mult.condition_matrix(w, rest, m + 1)[0]) == len(rest):
         assert linalg.rank(mult.condition_matrix(w, monos, mu)[0]) == len(monos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(peel_slices())
+@example((WeightTriple(9, 10, 13), 372, 11))
+@example((WeightTriple(2, 3, 5), 30, 6))
+def test_residual_certificate_certifies_only_full_rank_slices(slice_):
+    # the two routes by which slice_kernel_vectors skips the full matrix
+    w, d, mu = slice_
+    monos = monomials_of_degree(w, d)
+    rest, m = mult._peel(w, monos, mu)
+    rank = linalg.rank(mult.condition_matrix(w, monos, mu)[0])
+    if not rest or len(rest) < len(monos) and linalg._full_rank_mod_p(
+            mult.condition_matrix(w, rest, m + 1)[0], len(rest)):
+        assert rank == len(monos)
+    # whatever the route, the kernel is exact
+    assert len(mult.slice_kernel_vectors(w, d, mu)[0]) == len(monos) - rank
 
 
 def test_peel_goldens():
     # (1, 2, 3) in degree 8: ten monomials against the ten conditions of
     # mu = 4, but the five with z = 0 lie on a line, and five points on a
-    # line impose only four conditions in degree 3
+    # line impose only four conditions in degree 3; no line of at most four
+    # points leaves few enough, so the residual is the whole slice
     w = WeightTriple(1, 2, 3)
     monos = monomials_of_degree(w, 8)
     assert len(monos) == 10 and sum(m[2] == 0 for m in monos) == 5
-    assert not mult._peeled_zero(w, monos, 4)
+    assert mult._peel(w, monos, 4) == (monos, 3)
     assert mult.slice_dim(w, 8, 4) == 1
     assert len(mult.slice_kernel_vectors(w, 8, 4)[0]) == 1
     # (9, 10, 13) in degree 204: 20 monomials against 21 conditions; after
@@ -271,12 +302,47 @@ def test_peel_goldens():
     # peel that gives ties to the longest direction gets stuck
     w = WeightTriple(9, 10, 13)
     monos = monomials_of_degree(w, 204)
-    assert len(monos) == 20 and mult._peeled_zero(w, monos, 6)
+    assert len(monos) == 20 and mult._peel(w, monos, 6)[0] == []
     assert linalg.rank(mult.condition_matrix(w, monos, 6)[0]) == 20
     # at mu = 0 there are no conditions: the unit vectors, with no elimination
     for d in (0, 7, 30):
         vecs, monos = mult.slice_kernel_vectors(WeightTriple(2, 3, 5), d, 0)
         assert vecs == linalg.kernel_basis([], len(monos))
+
+
+def test_peel_residual_goldens():
+    # (9, 10, 13) in degree 372: 64 monomials against the 66 conditions of
+    # mu = 11; the peel leaves 10 points in degree 3, and the certificate of
+    # their 10 x 10 matrix decides the slice
+    w = WeightTriple(9, 10, 13)
+    monos = monomials_of_degree(w, 372)
+    rest, m = mult._peel(w, monos, 11)
+    assert (len(monos), len(rest), m) == (64, 10, 3)
+    rows = mult.condition_matrix(w, rest, m + 1)[0]
+    assert len(rows) == 10 and linalg._full_rank_mod_p(rows, 10)
+    assert mult.slice_kernel_vectors(w, 372, 11) == ([], monos)
+    # (2, 3, 5) in degree 30 at mu = 6: the residual, 15 points in degree 4,
+    # is dependent, so its certificate misses, and the full matrix of the
+    # 21 monomials finds the slice's one kernel vector
+    w = WeightTriple(2, 3, 5)
+    monos = monomials_of_degree(w, 30)
+    rest, m = mult._peel(w, monos, 6)
+    assert (len(monos), len(rest), m) == (21, 15, 4)
+    assert linalg.rank(mult.condition_matrix(w, rest, m + 1)[0]) == 14
+    assert len(mult.slice_kernel_vectors(w, 30, 6)[0]) == mult.slice_dim(w, 30, 6) == 1
+
+
+def test_peel_returns_at_once_for_at_most_mu_points(monkeypatch):
+    # any m + 1 distinct points are independent in degree m: the ten points
+    # of (1, 2, 3) in degree 8 at mu = 10 need no line, so no chart either
+    w = WeightTriple(1, 2, 3)
+    monos = monomials_of_degree(w, 8)
+    monkeypatch.setattr(mult, "_chart", None)
+    assert mult._peel(w, monos, 10) == ([], 9)
+    assert mult._peel(w, monos[:4], 4) == ([], 3)
+    assert mult._peel(w, [], 0) == ([], -1)
+    monkeypatch.undo()
+    assert mult.slice_kernel_vectors(w, 8, 10) == ([], monos)
 
 
 @settings(max_examples=40, deadline=None)
