@@ -32,31 +32,17 @@ class Ideal:
                 raise ValueError("generator outside the stated ring")
 
 
-def _order_key(elim, weights=None):
-    """Sort key of the monomial order (`elim`, `weights`) (larger key = larger monomial).
+def _order_key(weights=None):
+    """Sort key of weighted grevlex with these `weights` (larger key = larger monomial).
 
-    Every order here is given by `elim`, the size of a leading block, and
-    `weights`, a positive int per variable (None: all ones).  The first
-    `elim` variables form the leading block and the rest form one more, so a
-    monomial containing a leading variable beats every monomial free of them
-    (an elimination order).  Each block is ordered by weighted grevlex: the
-    weighted degree sum(w_i * e_i) first, then grevlex's tie-break on the
-    exponents.  elim = 0 with unit weights is grevlex.
+    `weights` is a positive int per variable (None: all ones).  The weighted
+    degree sum(w_i * e_i) decides first, then grevlex's tie-break on the
+    exponents.  Unit weights give grevlex.
     """
-    def block(exp, ws):
-        return sum(map(mul, exp, ws)), tuple(map(neg, reversed(exp)))
-
     def key(exp):
-        ws = weights or (1,) * len(exp)
-        return block(exp[:elim], ws[:elim]), block(exp[elim:], ws[elim:])
+        return sum(map(mul, exp, weights or (1,) * len(exp))), tuple(map(neg, reversed(exp)))
 
     return key
-
-
-def _block_spans(n, elim):
-    """(start, end) of each block of the order `elim` on n variables, first block first."""
-    head = min(elim, n)
-    return [(s, e) for s, e in ((0, head), (head, n)) if e > s]
 
 
 def _weights(weights, n):
@@ -68,17 +54,16 @@ def _weights(weights, n):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis: its ring, its order (`elim`, `weights`, see
+    """A reduced Groebner basis: its ring, its order (the `weights` of
     `_order_key`) and its monic elements in ascending order of their leads.
 
     It is its packing and its packed primitive integer `_element`s (`_int`),
-    sorted by lead, as `buchberger` or `quotient_by_last` computed them; the
+    sorted by lead, as `buchberger` or `_divided_by_last` computed them; the
     monic `SparsePoly` elements are made from them when first asked for.
     """
 
     def __init__(self, variables, pk, basis):
         self.variables = variables
-        self.elim = pk.elim
         self.weights = pk.weights
         self._int = pk, basis
         self._elements = None
@@ -93,11 +78,11 @@ class GroebnerBasis:
     def __eq__(self, other):
         if not isinstance(other, GroebnerBasis):
             return NotImplemented
-        return (self.variables, self.elim, self.weights, self.elements) == (
-            other.variables, other.elim, other.weights, other.elements)
+        return (self.variables, self.weights, self.elements) == (
+            other.variables, other.weights, other.elements)
 
     def __repr__(self):
-        return f"GroebnerBasis({self.variables!r}, elim={self.elim!r}, weights={self.weights!r}, elements={self.elements!r})"
+        return f"GroebnerBasis({self.variables!r}, weights={self.weights!r}, elements={self.elements!r})"
 
     def _packed(self, w=0):
         """(packing, `_element`s) of the elements, in a packing at least w bits wide.
@@ -107,7 +92,7 @@ class GroebnerBasis:
         """
         old, basis = self._int
         if old.w < w:
-            pk = _Packing(len(self.variables), self.elim, w, self.weights)
+            pk = _Packing(len(self.variables), w, self.weights)
             self._int = pk, [_element({pk.encode(old.decode(k)): c for k, c in b[0].items()}, pk)
                              for b in basis]
         return self._int
@@ -119,7 +104,7 @@ class GroebnerBasis:
         leads of a reduced basis are distinct, so an element is in `other`
         iff `other` has an element with its lead and its terms.
         """
-        if (self.variables, self.elim, self.weights) != (other.variables, other.elim, other.weights):
+        if (self.variables, self.weights) != (other.variables, other.weights):
             raise ValueError("the bases are in different rings or orders")
         w = max(self._int[0].w, other._int[0].w)
         theirs = {b[1]: b[0] for b in other._packed(w)[1]}
@@ -147,31 +132,37 @@ class GroebnerBasis:
         return 0
 
     def quotient_by_last(self):
-        """The reduced basis of <G> : v under the same order, v the last variable.
+        """The reduced basis of <G> : v under the same order, v the last variable."""
+        return self._divided_by_last(1)
 
-        When every element whose lead contains v has v in each term, the
-        elements, each such one divided by v, are a Groebner basis of <G> : v,
-        as in(<G> : v) = in(<G>) : v (Bayer-Stillman, Invent. Math. 87, 1987).
-        Weighted grevlex puts the terms with least v first, so this holds for
-        a homogeneous ideal; an element that breaks it raises AssertionError.
-        Dividing by v subtracts K(v) from each packed key; minimalizing and
-        inter-reducing then gives the reduced basis.
+    def _divided_by_last(self, cap):
+        """The reduced basis of <G> : v^cap under the same order, v the last variable; cap None is oo.
+
+        Let k be the exponent of v in an element's lead.  When each element
+        has at least min(k, cap) factors of v in every term, the elements,
+        each divided by v^min(k, cap), are a Groebner basis of <G> : v^cap,
+        as in(<G> : v^cap) = in(<G>) : v^cap (Bayer-Stillman, Invent. Math.
+        87, 1987).  Weighted grevlex puts the terms with least v first, so
+        this holds for a homogeneous ideal; an element that breaks it raises
+        AssertionError.  Dividing by v^m subtracts m * K(v) from each packed
+        key; minimalizing and inter-reducing then gives the reduced basis.
         """
-        if self.elim:
-            raise ValueError("the read-off needs an order with no leading block")
         pk, basis = self._packed()
         n = len(self.variables)
-        v = pk.mask << pk.shifts[n - 1]
+        shift, wv = pk.shifts[n - 1], pk.weights[n - 1]
         kv = pk.encode((0,) * (n - 1) + (1,))
-        if not any(b[2] & v for b in basis):
-            return self
         out = []
         for b in basis:
-            if b[2] & v:
-                if not all(pk.unpack(k) & v for k in b[0]):
-                    raise AssertionError("an element whose lead contains v has a term without v")
-                b = _element({k - kv: c for k, c in b[0].items()}, pk)
+            m = (b[2] >> shift & pk.mask) // wv
+            if cap is not None:
+                m = min(m, cap)
+            if m:
+                if any((pk.unpack(k) >> shift & pk.mask) < m * wv for k in b[0]):
+                    raise AssertionError(f"an element has a term with fewer than {m} factors of v")
+                b = _element({k - m * kv: c for k, c in b[0].items()}, pk)
             out.append(b)
+        if out == basis:
+            return self
         return GroebnerBasis(self.variables, pk, _reduced(out, pk))
 
 
@@ -183,58 +174,42 @@ class _Widen(Exception):
 
 
 class _Packing:
-    """Monomials of one block order packed into ints, with fields of w bits.
+    """Monomials of weighted grevlex packed into ints, with fields of w bits.
 
     The field of variable x_i holds y_i = w_i * e_i, its exponent times its
-    weight.  A block of m variables is the base-2^w linear form
-    deg * B^m - sum(y_i * B^i) on m + 1 digits, deg = sum(y_i) its weighted
-    degree, and the blocks are concatenated with the first block most
-    significant.  The int K of a monomial is additive, K(a + b) = K(a) + K(b),
-    and while every block degree stays below 2^(w-1), K orders monomials
-    exactly as `_order_key` does: a tie in deg is a tie in the weighted sum,
-    and the last differing y_i decides as the last differing e_i does.
-    unpack(K) is the packed vector P: one field y_i per variable, the degree
-    digits zero.  Scaling a field by w_i > 0 keeps its comparisons and its
-    max, so a divides b iff (P_b - P_a) & guard == 0, and the lcm is a
-    select by guard bits (Monagan-Pearce, CASC 2007; Bachmann-Schoenemann,
-    ISSAC 1998); only encode and decode see the weights.
+    weight.  A monomial of n variables is the base-2^w linear form
+    K = deg * B^n - sum(y_i * B^i) on n + 1 digits, deg = sum(y_i) its
+    weighted degree.  K is additive, K(a + b) = K(a) + K(b), and while deg
+    stays below 2^(w-1), K orders monomials exactly as `_order_key` does: a
+    tie in deg is a tie in the weighted sum, and the last differing y_i
+    decides as the last differing e_i does.  unpack(K) is the packed vector
+    P: one field y_i per variable, the degree digit zero.  Scaling a field
+    by w_i > 0 keeps its comparisons and its max, so a divides b iff
+    (P_b - P_a) & guard == 0, and the lcm is a select by guard bits
+    (Monagan-Pearce, CASC 2007; Bachmann-Schoenemann, ISSAC 1998); only
+    encode and decode see the weights.
 
     The kernel keeps every operand (input, basis and popped terms) below
-    `limit` = 2^(w-2) in each block degree, so each product of two operands
-    still compares exactly; a popped term at the limit raises _Widen.
+    `limit` = 2^(w-2) in degree, so each product of two operands still
+    compares exactly; a popped term at the limit raises _Widen.
     """
 
-    def __init__(self, n, elim, w, weights):
+    def __init__(self, n, w, weights):
         self.w = w
-        self.elim = elim
         self.weights = weights
         self.limit = 1 << (w - 2)
         self.mask = (1 << w) - 1
-        self.shifts = [0] * n  # bit offset of each variable's field
-        self.spans = []  # (start, end, bit offset of the degree digit)
-        self.sums = []  # (bit offset, field mask, digit-sum multiplier, shift, degree offset)
-        self.ones = self.top = self.high = self.guard = 0
-        digit = 0
-        for s, e in reversed(_block_spans(n, elim)):
-            m = e - s
-            for i in range(s, e):
-                self.shifts[i] = (digit + i - s) * w
-                self.guard |= 1 << ((digit + i - s) * w + w - 1)
-            d = (digit + m) * w
-            self.ones |= ((1 << (m * w)) - 1) << (digit * w)
-            self.top |= self.mask << d
-            self.high |= 3 << (d + w - 2)
-            self.spans.append((s, e, d))
-            ones = sum(1 << (j * w) for j in range(m))
-            self.sums.append((digit * w, (1 << (m * w)) - 1, ones, (m - 1) * w, d))
-            digit += m + 1
+        self.shifts = [i * w for i in range(n)]  # bit offset of each variable's field
+        self.guard = sum(1 << (s + w - 1) for s in self.shifts)
+        self.d = n * w  # bit offset of the degree digit
+        self.ones = (1 << self.d) - 1
+        self.top = self.mask << self.d
+        self.high = 3 << (self.d + w - 2)
+        self.units = self.guard >> (w - 1)  # 1 + B + ... + B^(n-1)
 
     def encode(self, exp):
         y = list(map(mul, exp, self.weights))
-        k = -sum(map(lshift, y, self.shifts))
-        for s, e, d in self.spans:
-            k += sum(y[s:e]) << d
-        return k
+        return (sum(y) << self.d) - sum(map(lshift, y, self.shifts))
 
     def decode(self, k):
         p = ((k + self.ones) & self.top) - k
@@ -242,7 +217,7 @@ class _Packing:
         return tuple([((p >> s) & mask) // w for s, w in zip(self.shifts, self.weights)])
 
     def unpack(self, k):
-        """P of K, after checking that every block degree of K is below the limit."""
+        """P of K, after checking that the degree of K is below the limit."""
         t = k + self.ones
         if t & self.high:
             raise _Widen
@@ -253,11 +228,9 @@ class _Packing:
         sel = ((pa | self.guard) - pb) & self.guard  # guard bit set where a_i >= b_i
         sel -= sel >> (self.w - 1)
         p = pb ^ ((pa ^ pb) & sel)
-        k = -p
-        for off, fmask, ones, sh, d in self.sums:
-            # the block's m fields times 1 + B + ... + B^(m-1) hold its degree in digit m - 1
-            k += ((((p >> off) & fmask) * ones >> sh) & self.mask) << d
-        return k, p
+        # the n fields times 1 + B + ... + B^(n-1) hold the degree in digit n - 1
+        deg = (p * self.units >> (self.d - self.w)) & self.mask
+        return (deg << self.d) - p, p
 
 
 def _first_width(polys, weights):
@@ -287,11 +260,11 @@ def _element(terms, pk):
     return terms, k, pk.unpack(k), terms[k]
 
 
-def _poly(element, pk, variables, first=0):
-    """The monic `SparsePoly` of an `_element` in `variables`, its exponents read from index `first` on."""
+def _poly(element, pk, variables):
+    """The monic `SparsePoly` of an `_element` in `variables`."""
     terms, _, _, lc = element
     decode = pk.decode
-    return SparsePoly._trusted(variables, {decode(e)[first:]: Fraction(c, lc) for e, c in terms.items()})
+    return SparsePoly._trusted(variables, {decode(e): Fraction(c, lc) for e, c in terms.items()})
 
 
 def _reduce(g, basis, pk):
@@ -402,8 +375,8 @@ def _update_pairs(basis, pairs, pk):
         pairs[idxs[0], t] = lcm
 
 
-def buchberger(ideal, elim=0, weights=None, step_budget=DEFAULT_BUDGET, start=None):
-    """Reduced Groebner basis of the ideal under the order (`elim`, `weights`), see `_order_key`.
+def buchberger(ideal, weights=None, step_budget=DEFAULT_BUDGET, start=None):
+    """Reduced Groebner basis of the ideal under weighted grevlex with these `weights`, see `_order_key`.
 
     The default is grevlex.  With `start`, a complete reduced basis under
     the same order in the ideal's ring, the result is the reduced basis of
@@ -420,13 +393,13 @@ def buchberger(ideal, elim=0, weights=None, step_budget=DEFAULT_BUDGET, start=No
     """
     n = len(ideal.variables)
     weights = _weights(weights, n)
-    if start is not None and (start.variables, start.elim, start.weights) != (ideal.variables, elim, weights):
+    if start is not None and (start.variables, start.weights) != (ideal.variables, weights):
         raise ValueError("start basis in another ring or under another order")
     gens = [g for g in ideal.generators if not g.is_zero()]
     w = _first_width(gens, weights)
     while True:
         if start is None:
-            pk, base = _Packing(n, elim, w, weights), []
+            pk, base = _Packing(n, w, weights), []
         else:
             pk, base = start._packed(w)
         try:
@@ -504,76 +477,61 @@ def ideal_member(f, gb):
     return normal_form(f, gb).is_zero()
 
 
-def _tagged_basis(ideal, f, tagged, step_budget):
-    """Reduced elimination basis (`elim` = 1) of tagged generators, with a fresh tag w in front.
+def _colon(ideal, f, cap, step_budget):
+    """I : f^cap (cap None: I : f^oo) as the Ideal of its reduced grevlex basis.
 
-    `tagged(gens, f, w, one)` builds the generators from the ideal's
-    generators, f, w and 1, all lifted to the ring (w,) + ideal.variables.
+    The homogenized g^h of G, the reduced grevlex basis of I, generate the
+    homogenization I^h, since grevlex is graded (Cox-Little-O'Shea, "Ideals,
+    Varieties, and Algorithms", ch. 8 section 4).  With fresh variables h
+    and u last, weighted 1 and deg f, J = <g^h, u - f^h> is homogeneous, and
+    u -> f^h maps J : u^cap onto I^h : (f^h)^cap.  So the basis of J : u^cap
+    read off J's basis (`_divided_by_last`) maps under u -> f, h -> 1 onto
+    generators of I : f^cap: setting h = 1 takes I^h : (f^h)^cap onto
+    I : f^cap, as (pq)^h = p^h q^h.  One more `buchberger` run makes them
+    the reduced grevlex basis.  A constant f or the unit ideal gives G.
+    `step_budget` bounds each of the three runs.
     """
-    tag = _fresh_name("w", ideal.variables)
-    ring = (tag,) + ideal.variables
-    gens = tagged(
-        [g.rename_ring(ring) for g in ideal.generators],
-        f.rename_ring(ring),
-        SparsePoly.variable(ring, tag),
-        SparsePoly.constant(ring, 1),
-    )
-    return buchberger(Ideal(ring, gens), elim=1, step_budget=step_budget)
+    if f.variables != ideal.variables:
+        raise ValueError("polynomial outside the ideal's ring")
+    if f.is_zero():
+        raise ValueError("cannot divide an ideal by zero")
+    variables = ideal.variables
+    gb = buchberger(ideal, step_budget=step_budget)
+    deg = max(map(sum, f.terms))
+    one = SparsePoly.constant(variables, 1)
+    if deg == 0 or gb.elements[:1] == [one]:
+        return Ideal(variables, gb.elements)
+    h = _fresh_name("h", variables)
+    ring = variables + (h, _fresh_name("u", variables + (h,)))
 
+    def homogenized(p):
+        d = max(map(sum, p.terms))
+        return SparsePoly._trusted(ring, {e + (d - sum(e), 0): c for e, c in p.terms.items()})
 
-def _tag_free(gb, variables):
-    """Elements of a tagged basis free of the tag, in the basis order, back in `variables`.
-
-    Under the elimination order an element is free of the tag iff its lead
-    is, so they are read off the packed leads and only they are made
-    `SparsePoly`s.
-    """
-    pk, basis = gb._packed()
-    tag = pk.mask << pk.shifts[0]
-    return [_poly(b, pk, variables, 1) for b in basis if not b[2] & tag]
+    gens = [homogenized(g) for g in gb.elements] + [SparsePoly.variable(ring, ring[-1]) - homogenized(f)]
+    weights = (1,) * (len(ring) - 1) + (deg,)
+    read = buchberger(Ideal(ring, gens), weights=weights, step_budget=step_budget)._divided_by_last(cap)
+    image = dict(zip(ring, [SparsePoly.variable(variables, v) for v in variables] + [one, f]))
+    back = [g.substitute(image) for g in read.elements]
+    return Ideal(variables, buchberger(Ideal(variables, back), step_budget=step_budget).elements)
 
 
 def saturate(ideal, f, step_budget=DEFAULT_BUDGET):
-    """I : f^oo by adjoining w with 1 - w*f and eliminating w.
+    """I : f^oo, as the Ideal of its reduced grevlex basis (`_colon`).
 
-    The generators returned are the reduced grevlex basis of I : f^oo, in
-    `buchberger`'s order, so saturate(I, f).generators equals
-    buchberger(saturate(I, f)).elements.  Proof: by the elimination theorem
-    (Cox-Little-O'Shea, "Ideals, Varieties, and Algorithms", ch. 3 section 1)
-    the tag-free elements of a Groebner basis under the block order are a
-    Groebner basis of the elimination ideal I : f^oo, for the order the
-    block order induces on tag-free monomials, which is grevlex.  They are
-    reduced with monic leads, because the whole block basis is.  A tag-free
-    monomial's packed key is its grevlex key on the remaining variables, so
-    `_buchberger`'s sort by lead gives them in `buchberger`'s order.
+    The generators are in `buchberger`'s order, so saturate(I, f).generators
+    equals buchberger(saturate(I, f)).elements.
     """
-    if f.is_zero():
-        raise ValueError("cannot saturate by zero")
-    gb = _tagged_basis(ideal, f, lambda gens, f, w, one: gens + [one - w * f], step_budget)
-    return Ideal(ideal.variables, _tag_free(gb, ideal.variables))
+    return _colon(ideal, f, None, step_budget)
 
 
 def quotient_by(ideal, f, step_budget=DEFAULT_BUDGET):
-    """Single ideal quotient I : <f>, via tagged intersection and exact division.
+    """The ideal quotient I : <f>, as the Ideal of its reduced grevlex basis (`_colon`).
 
-    The tag-free part of the reduced grevlex block basis of <w*I, (1 - w)*f>
-    generates the intersection of I and <f> (elimination theorem); each of
-    its elements divided by f is a generator of I : <f>.  The package reads
-    I : v off a basis of I instead (`GroebnerBasis.quotient_by_last`); this
-    is its reference.
+    The package reads I : v off a basis of I instead
+    (`GroebnerBasis.quotient_by_last`); this is its reference for any f.
     """
-    if f.is_zero():
-        raise ValueError("cannot take a quotient by zero")
-    tagged = _tagged_basis(
-        ideal, f, lambda gens, f, w, one: [w * g for g in gens] + [(one - w) * f], step_budget
-    )
-    out = []
-    for g in _tag_free(tagged, ideal.variables):
-        q, r = g.divide_by(f)
-        if not r.is_zero():
-            raise AssertionError("intersection element not divisible by f")
-        out.append(q.primitive())
-    return Ideal(ideal.variables, out)
+    return _colon(ideal, f, 1, step_budget)
 
 
 def krull_dimension(ideal):

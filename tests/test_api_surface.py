@@ -23,7 +23,7 @@ ALLOWED_UNCALLED = {
     "m0n.search_weights": "acceptance criterion 7 (weight search)",
     "mult.slice_dim": "acceptance criterion 8 and bench/test_bench.py (tracer spans)",
     "groebner.ideal_member": "acceptance criterion 10 (saturation membership)",
-    "groebner.quotient_by": "the tagged reference of criterion 10 and of the tests' from-scratch verification loop",
+    "groebner.quotient_by": "the I : f reference of criterion 10 and of the tests' from-scratch verification loop",
     "groebner.krull_dimension": "the reference of criterion 10 and of the tests' from-scratch verification loop",
     "coxring.VerificationReport.failures": "diagnostics of failed reports in the tests",
     "orthpair.MdsVerdict.is_mori_dream": "acceptance criteria 1-3 (verdict tables)",
