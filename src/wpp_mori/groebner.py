@@ -3,12 +3,12 @@
 Inside the kernel a polynomial is an integer term dict (packed monomial ->
 int), see `_Packing`.  Each reduction step is a nonzero rational multiple of
 the same step over Q, so remainders agree up to a scalar; exponent tuples and
-`Fraction` coefficients are made only where a `SparsePoly` leaves the kernel.
+rational coefficients are made only where a `SparsePoly` leaves the kernel,
+and a `Fraction` only for a coefficient that is not an integer.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter, lshift, mul, neg
 
@@ -264,7 +264,7 @@ def _poly(element, pk, variables):
     """The monic `SparsePoly` of an `_element` in `variables`."""
     terms, _, _, lc = element
     decode = pk.decode
-    return SparsePoly._trusted(variables, {decode(e): Fraction(c, lc) for e, c in terms.items()})
+    return SparsePoly._trusted(variables, {decode(e): poly._ratio(c, lc) for e, c in terms.items()})
 
 
 def _reduce(g, basis, pk):
@@ -327,7 +327,7 @@ def normal_form(f, gb):
             w = 2 * pk.w
     den *= scale
     decode = pk.decode
-    return SparsePoly._trusted(f.variables, {decode(e): Fraction(c, den) for e, c in rem.items()})
+    return SparsePoly._trusted(f.variables, {decode(e): poly._ratio(c, den) for e, c in rem.items()})
 
 
 def _spoly(f, g, lk):

@@ -7,6 +7,7 @@ condition matrices give the graded pieces of the symbolic powers I^mu : J^oo.
 """
 
 from functools import lru_cache
+from heapq import heappop, heappush
 from itertools import count, islice
 from math import gcd, isqrt
 from operator import mul
@@ -158,31 +159,46 @@ def _peel(w, monos, mu):
         return [], m
     if 2 * left > (m + 1) * (m + 2):
         return monos, m
-    normals = _chart(w.a, w.b, w.c)[2]
-    keys = [[p * x + q * y + r * z for x, y, z in monos] for p, q, r in normals]
-    lines = []
-    for ks in keys:
-        members = {}
-        for i, k in enumerate(ks):
-            members.setdefault(k, []).append(i)
-        lines.append(members)
-    counts = [{k: len(ids) for k, ids in members.items()} for members in lines]
+    # line ids go direction by direction, and within one by first point, so
+    # the least id of equal counts is the shortest direction's first line
+    members = []  # line id -> its points
+    point_lines = []  # per direction, point -> line id
+    for p, q, r in _chart(w.a, w.b, w.c)[2]:
+        ids = {}
+        of_point = []
+        for i, (x, y, z) in enumerate(monos):
+            k = p * x + q * y + r * z
+            if k not in ids:
+                ids[k] = len(members)
+                members.append([])
+            members[ids[k]].append(i)
+            of_point.append(ids[k])
+        point_lines.append(of_point)
+    counts = [len(points) for points in members]
+    # buckets[n] is a heap of the lines that held n points; a line whose
+    # count has fallen since it entered is stale there and popped when met
+    buckets = [[] for _ in range(max(counts) + 1)]
+    for line, n in enumerate(counts):
+        buckets[n].append(line)
     alive = [True] * left
     while True:
-        # max keeps the first of equal counts: the shortest direction's first line
-        best = max(
-            ((n, j, k) for j, cnt in enumerate(counts) for k, n in cnt.items() if 0 < n <= m + 1),
-            key=lambda t: t[0],
-            default=None,
-        )
-        if best is None or 2 * (left - best[0]) > m * (m + 1):
+        best = None
+        for n in range(min(m + 1, len(buckets) - 1), 0, -1):
+            heap = buckets[n]
+            while heap and counts[heap[0]] != n:
+                heappop(heap)
+            if heap:
+                best = heap[0]
+                break
+        if best is None or 2 * (left - n) > m * (m + 1):
             return [mono for mono, a in zip(monos, alive) if a], m
-        n, j, key = best
-        for i in lines[j][key]:
+        for i in members[best]:
             if alive[i]:
                 alive[i] = False
-                for ks, cnt in zip(keys, counts):
-                    cnt[ks[i]] -= 1
+                for of_point in point_lines:
+                    line = of_point[i]
+                    counts[line] -= 1
+                    heappush(buckets[counts[line]], line)
         left -= n
         m -= 1
         if left <= m + 1:
@@ -229,7 +245,10 @@ def _coefficient_vector(f, monos):
 
 def _vanishing_order(w, d, monos, vec):
     """Least order at which the degree-d form vec in the monomials monos has a
-    nonzero Hasse derivative."""
+    nonzero Hasse derivative.
+
+    monos may be any monomials of degree d that hold the form's support.
+    """
     # a nonzero form has finite multiplicity; 2d + 2 safely bounds it
     for order, rows in zip(range(2 * d + 3), _rows_by_order(_chart_exponents(w, monos))):
         if any(sum(r * x for r, x in zip(row, vec)) for row in rows):
@@ -244,10 +263,11 @@ def rees_multiplicity(w, f):
     d = f.weighted_degree(w.as_tuple())
     if d is None:
         raise ValueError("polynomial is not weighted-homogeneous")
-    # scaling keeps the multiplicity, and integer sums are cheaper than Fraction ones
-    monos = monomials_of_degree(w, d)
-    vec = [int(c) for c in _coefficient_vector(f.primitive(), monos)]
-    return _vanishing_order(w, d, monos, vec)
+    # scaling keeps the multiplicity, and the primitive form has int terms; its
+    # chart exponents relative to its first term multiply the Laurent
+    # polynomial by a monomial, a unit at the point
+    p = f.primitive()
+    return _vanishing_order(w, d, list(p.terms), list(p.terms.values()))
 
 
 def in_ideal(w, forms, g):
@@ -269,7 +289,7 @@ def in_ideal(w, forms, g):
         if d_f is None:
             raise ValueError("generator is not weighted-homogeneous")
         rows += _multiple_vectors(w, (d_f, 0, f), d, 0, monos)
-    target = [int(c) for c in _coefficient_vector(g.primitive(), monos)]
+    target = _coefficient_vector(g.primitive(), monos)
     return linalg.in_span(rows, target)
 
 
@@ -318,7 +338,7 @@ def _multiple_vectors(w, factor, d, mu, monos):
         return []
     vecs, sub_monos = slice_kernel_vectors(w, d - d_f, max(0, mu - mu_f))
     index = {m: i for i, m in enumerate(monos)}
-    terms = [(exp, int(c)) for exp, c in f.primitive().terms.items()]
+    terms = f.primitive().terms.items()
     out = []
     for g in vecs:
         vec = [0] * len(monos)

@@ -1,8 +1,12 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms map exponent tuples to nonzero Fractions; the variable list is explicit
-data carried by every polynomial.  The canonical term order is graded reverse
-lexicographic in the declared variable order.
+Terms map exponent tuples to nonzero coefficients; the variable list is
+explicit data carried by every polynomial.  A coefficient is an `int` when it
+is integral and a `Fraction` with denominator > 1 otherwise, so integer
+polynomials are computed with ints only.  An int and an integral `Fraction`
+compare and hash equal, so the form is invisible to `==`, `hash` and `str`.
+The canonical term order is graded reverse lexicographic in the declared
+variable order.
 """
 
 import re
@@ -16,9 +20,30 @@ def grevlex_key(exp):
     return (sum(exp), tuple(map(neg, reversed(exp))))
 
 
+def _exact(c):
+    """The rational c as a coefficient: an int when integral, else a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _coefficient(c):
+    """Any rational number c as a coefficient."""
+    return c if type(c) is int else _exact(Fraction(c))
+
+
+def _ratio(n, d):
+    """The exact quotient n / d of rationals as a coefficient."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _integer_terms(p):
-    """(den, terms) with p = terms / den and int coefficients."""
+    """(den, terms) with p = terms / den and int coefficients.
+
+    An all-int p gives its own term dict, which the caller must not change.
+    """
     den = lcm(*(c.denominator for c in p.terms.values()))
+    if den == 1:
+        return 1, p.terms
     return den, {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
 
 
@@ -29,7 +54,7 @@ def _mul_terms(f, g):
         for e2, c2 in g.items():
             e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+    return {e: c.numerator if c.denominator == 1 else c for e, c in out.items() if c}
 
 
 class SparsePoly:
@@ -43,14 +68,16 @@ class SparsePoly:
         if terms:
             n = len(self.variables)
             for exp, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _coefficient(coeff)
                 if c == 0:
                     continue
                 exp = tuple(exp)
                 if len(exp) != n or any(e < 0 for e in exp):
                     raise ValueError(f"bad exponent tuple {exp} for {self.variables}")
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if clean[exp] == 0:
+                c = _exact(clean.get(exp, 0) + c)
+                if c:
+                    clean[exp] = c
+                else:
                     del clean[exp]
         self.terms = clean
 
@@ -59,7 +86,8 @@ class SparsePoly:
         """Wrap a clean term dict without validation or copying.
 
         For internal arithmetic only: `variables` is already a tuple, and
-        `terms` maps exponent tuples of its length to nonzero Fractions.
+        `terms` maps exponent tuples of its length to nonzero coefficients:
+        ints, or Fractions with denominator > 1.
         """
         p = object.__new__(cls)
         p.variables = variables
@@ -74,18 +102,18 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, variables, c):
-        return cls(variables, {(0,) * len(tuple(variables)): Fraction(c)})
+        return cls(variables, {(0,) * len(tuple(variables)): c})
 
     @classmethod
     def monomial(cls, variables, exp, coeff=1):
-        return cls(variables, {tuple(exp): Fraction(coeff)})
+        return cls(variables, {tuple(exp): coeff})
 
     @classmethod
     def variable(cls, variables, name):
         variables = tuple(variables)
         idx = variables.index(name)
         exp = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exp: Fraction(1)})
+        return cls(variables, {exp: 1})
 
     # -- predicates -------------------------------------------------------
 
@@ -117,7 +145,7 @@ class SparsePoly:
         for exp, c in other.terms.items():
             c = terms.get(exp, 0) + c
             if c:
-                terms[exp] = c
+                terms[exp] = c.numerator if c.denominator == 1 else c
             else:
                 del terms[exp]
         return SparsePoly._trusted(self.variables, terms)
@@ -135,11 +163,11 @@ class SparsePoly:
         return SparsePoly._trusted(self.variables, _mul_terms(self.terms, other.terms))
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coefficient(c)
         if not c:
             return SparsePoly._trusted(self.variables, {})
         return SparsePoly._trusted(
-            self.variables, {e: c * v for e, v in self.terms.items()}
+            self.variables, {e: _exact(c * v) for e, v in self.terms.items()}
         )
 
     def __pow__(self, n):
@@ -148,7 +176,7 @@ class SparsePoly:
         if len(self.terms) == 1:
             ((exp, c),) = self.terms.items()
             return SparsePoly._trusted(
-                self.variables, {tuple(n * e for e in exp): c ** n}
+                self.variables, {tuple(n * e for e in exp): _exact(c ** n)}
             )
         result = SparsePoly.constant(self.variables, 1)
         base = self
@@ -170,7 +198,7 @@ class SparsePoly:
 
     def monic(self):
         _, c = self.leading()
-        return self.scale(Fraction(1) / c)
+        return self.scale(_ratio(1, c))
 
     def primitive(self):
         """Integer-content-normalized copy with positive grevlex leading coefficient."""
@@ -181,7 +209,7 @@ class SparsePoly:
         if terms[self.leading()[0]] < 0:
             g = -g
         return SparsePoly._trusted(
-            self.variables, {e: Fraction(c // g) for e, c in terms.items()}
+            self.variables, {e: c // g for e, c in terms.items()}
         )
 
     def weighted_degree(self, weights):
@@ -250,7 +278,7 @@ class SparsePoly:
 
         Works on integer term dicts: each image is integer terms over one
         denominator, each power of an image is computed once per call, and
-        `Fraction` coefficients are made only for the result.
+        `Fraction` coefficients are made only for the result's true fractions.
         """
         images = [assignment[v] for v in self.variables]
         for img in images[1:]:
@@ -297,9 +325,9 @@ class SparsePoly:
                     result[k] = v
                 else:
                     del result[k]
-        return SparsePoly._trusted(
-            ring, {k: Fraction(v, den) for k, v in result.items()}
-        )
+        if den > 1:
+            result = {k: _ratio(v, den) for k, v in result.items()}
+        return SparsePoly._trusted(ring, result)
 
     # -- division ---------------------------------------------------------
 
@@ -322,13 +350,13 @@ class SparsePoly:
             if min(diff, default=0) < 0:
                 rem[gexp] = gc
                 continue
-            q = quot[diff] = gc / lc
+            q = quot[diff] = _ratio(gc, lc)
             for exp, c in f.terms.items():
                 if exp != lexp:
                     exp = tuple(map(add, exp, diff))
                     c = g.get(exp, 0) - q * c
                     if c:
-                        g[exp] = c
+                        g[exp] = c.numerator if c.denominator == 1 else c
                     else:
                         del g[exp]
         return SparsePoly._trusted(ring, quot), SparsePoly._trusted(ring, rem)
@@ -404,7 +432,7 @@ def parse_poly(text, variables):
             if first:
                 break
             raise ValueError("dangling sign in polynomial text")
-        coeff = Fraction(sign)
+        coeff = sign
         exp = [0] * len(variables)
         expect_factor = True
         while i < n and expect_factor:

@@ -46,12 +46,12 @@ class ClassElement(NamedTuple):
 @lru_cache(maxsize=None)
 def _monomials_of_degree(a, b, c, d):
     out = []
+    inv = pow(b, -1, c)
     for i in range(d // a + 1):
         rem_i = d - a * i
-        for j in range(rem_i // b + 1):
-            rem_j = rem_i - b * j
-            if rem_j % c == 0:
-                out.append((i, j, rem_j // c))
+        # c divides rem_i - b * j iff j = rem_i / b mod c
+        for j in range(rem_i * inv % c, rem_i // b + 1, c):
+            out.append((i, j, (rem_i - b * j) // c))
     return tuple(out)
 
 

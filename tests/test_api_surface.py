@@ -1,8 +1,9 @@
 """Every public top-level function and class of the package, and every public
 method or property of a public class, has a caller in the package; every
 defaulted parameter of those functions and methods is set by a caller in the
-package; every name a module imports is used in that module; and the package
-imports nothing outside the standard library.
+package; every name a module imports is used in that module; the package
+imports nothing outside the standard library; and no division in it can make
+a float.
 
 A public name whose only caller is its own unit test is dead weight: it has to
 be kept correct and documented but serves no command.  So is an option that no
@@ -151,3 +152,25 @@ def test_runtime_imports_are_stdlib_only():
                 continue
             outside += [f"{path.stem}: {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# the left operands of the `Path` joins of the scan cache file
+PATH_JOINS = {"cli": {"Path.home()", "Path.home() / '.cache'", "cache_dir()"}}
+
+
+def test_every_division_is_exact():
+    """True division of two ints gives a float, so every `/` in the package
+    divides a `Fraction(...)`, except the `Path` joins in `cli`."""
+    inexact = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+                left = node.left
+            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                left = node.target
+            else:
+                continue
+            fraction = isinstance(left, ast.Call) and getattr(left.func, "id", None) == "Fraction"
+            if not fraction and ast.unparse(left) not in PATH_JOINS.get(path.stem, ()):
+                inexact.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
+    assert inexact == []

@@ -185,6 +185,52 @@ def test_rees_multiplicity_matches_oracle_on_random_forms(data):
     assert mult.rees_multiplicity(w, f) == oracle_multiplicity(w, f)
 
 
+INTS = st.integers(-3, 3).filter(bool)
+MULT2_C40 = [
+    cls for cls in (coxring.classify(WeightTriple(*t)) for t in cli.coprime_triples(40))
+    if cls.is_mult2
+]
+
+
+@st.composite
+def sparse_forms(draw):
+    """(w, f): a Mult2 form f1..f4 of a triple with c <= 40, or a binomial or
+    trinomial of degree up to bc whose x and y exponents, the ones the sympy
+    oracle expands, are at most 20 (40 in a progression).  Coefficients often
+    sum to zero, and a trinomial x^p - 2 x^q + x^(2q - p) has multiplicity 2."""
+    if draw(st.booleans()):
+        cls = draw(st.sampled_from(MULT2_C40))
+        return WeightTriple(*cls.reordering), draw(st.sampled_from(coxring.mult2_fs(cls)))
+    w = WeightTriple(*draw(st.sampled_from(cli.coprime_triples(40))))
+    d = draw(st.integers(w.c, w.b * w.c))
+    monos = [m for m in monomials_of_degree(w, d) if max(m[:2]) <= 20]
+    assume(len(monos) >= 2)
+    picked = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=3, unique=True))
+    kind = draw(st.sampled_from(["random", "vanishing", "progression"]))
+    if kind == "progression":
+        p, q = picked[:2]
+        r = tuple(2 * j - i for i, j in zip(p, q))
+        assume(min(r) >= 0)
+        picked, coeffs = [p, q, r], [1, -2, 1]
+    else:
+        coeffs = draw(st.lists(INTS, min_size=len(picked), max_size=len(picked)))
+        if kind == "vanishing":
+            coeffs[-1] = -sum(coeffs[:-1])
+            assume(coeffs[-1])
+    return w, SparsePoly(XYZ, dict(zip(picked, coeffs)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sparse_forms())
+def test_rees_multiplicity_of_sparse_forms_of_large_degree(case):
+    # the support-only read agrees with sympy and with the full degree slice
+    w, f = case
+    d = f.weighted_degree(w.as_tuple())
+    monos = monomials_of_degree(w, d)
+    full = mult._vanishing_order(w, d, monos, mult._coefficient_vector(f.primitive(), monos))
+    assert mult.rees_multiplicity(w, f) == oracle_multiplicity(w, f) == full
+
+
 def _witness(w, d, mu, factor=None, tie_break="first"):
     """The form of `witness_vector`, or None."""
     found = mult.witness_vector(w, d, mu, factor, tie_break)

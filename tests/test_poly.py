@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from coefficients import assert_coefficients
 from wpp_mori.poly import SparsePoly, divides, grevlex_key, parse_poly
 
 XYZ = ("x", "y", "z")
@@ -185,7 +186,8 @@ def test_divide_by_matches_reference_loop(case):
     f, g = case
     q, r = f.divide_by(g)
     assert (q, r) == _divide_by_reference(f, g)
-    assert all(type(c) is Fraction for c in list(q.terms.values()) + list(r.terms.values()))
+    assert_coefficients(q)
+    assert_coefficients(r)
 
 
 def test_divides():
@@ -243,7 +245,7 @@ def validated(ring, raw_terms):
 
 
 def assert_clean(p):
-    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert_coefficients(p)
     assert all(len(e) == len(p.variables) and min(e) >= 0 for e in p.terms)
     assert p.terms == SparsePoly(p.variables, p.terms).terms
 
@@ -365,3 +367,60 @@ def test_substitute_rejects_images_from_different_rings():
     # an image of a variable that f does not use must share the ring too
     with pytest.raises(ValueError):
         P("x*y").substitute(img)
+
+
+# -- the coefficient invariant: ints where integral, Fractions only for true fractions --
+
+INTEGERS = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def int_or_rational_pairs(draw):
+    """Two polynomials of one ring, with int coefficients only or with rational ones."""
+    ring = draw(st.sampled_from(RINGS))
+    exps = st.tuples(*[st.integers(0, 2)] * len(ring))
+    coeffs = draw(st.sampled_from([INTEGERS, RATIONALS]))
+    f, g = (SparsePoly(ring, draw(st.dictionaries(exps, coeffs, max_size=5))) for _ in range(2))
+    return f, g
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    int_or_rational_pairs(),
+    st.integers(0, 3),
+    st.sampled_from([0, 3, -1, Fraction(4, 2), Fraction(-2, 3), "5/7"]),
+)
+# int polynomials whose division has inexact quotients: lc 2 divides neither 3 nor 1
+@example((P("3*x^2*y + y*z - 1"), P("2*x*y + z")), 2, Fraction(6, 3))
+def test_every_operation_keeps_the_coefficient_invariant(fg, n, c):
+    f, g = fg
+    ring = f.variables
+    all_int = all(type(v) is int for v in list(f.terms.values()) + list(g.terms.values()))
+    closed = {
+        "add": f + g, "sub": f - g, "neg": -f, "mul": f * g, "pow": f ** n,
+        "primitive": f.primitive(), "substitute": f.substitute({v: g for v in ring}),
+    }
+    others = {
+        "validated": SparsePoly(ring, {e: Fraction(v) for e, v in f.terms.items()}),
+        "constant": SparsePoly.constant(ring, c),
+        "monomial": SparsePoly.monomial(ring, (1,) * len(ring), c),
+        "variable": SparsePoly.variable(ring, "y"),
+        "scale": f.scale(c),
+        "parse": parse_poly(str(f), ring),
+        "rename": f.rename_ring(ring + ("w",)),
+    }
+    if f:
+        others["monic"] = f.monic()
+        assert others["monic"].leading()[1] == 1
+    if g:
+        q, r = f.divide_by(g)
+        assert q * g + r == f
+        others["quotient"], others["remainder"] = q, r
+    for p in [*closed.values(), *others.values()]:
+        assert_coefficients(p)
+    # the ring operations on ints and the primitive form never make a Fraction
+    if all_int:
+        for name, p in closed.items():
+            assert all(type(v) is int for v in p.terms.values()), name
+    assert all(type(v) is int for v in closed["primitive"].terms.values())
+    assert others["validated"] == f and others["parse"] == f
