@@ -41,23 +41,29 @@ class TripleClass:
 
 @dataclass(frozen=True)
 class CoxPresentation:
-    """Generators with Z^2-degrees, Rees multiplicities, relations, sections.
+    """Generators with Z^2-degrees, relations, sections.
 
-    `sections` maps each generator to a concrete polynomial in K[x,y,z]
-    realizing it (t maps to the formal exceptional parameter); relations are
-    identities among the generators once t carries degree (0, 1).
+    A generator's degree is (d, -m): its H-degree d and its Rees
+    multiplicity m at [1,1,1], which `rees` reads off.  `sections` maps each
+    generator to a concrete polynomial in K[x,y,z] realizing it (t maps to
+    the formal exceptional parameter); relations are identities among the
+    generators once t carries degree (0, 1).
     """
 
     variant: str
     weights: tuple  # reordered (a, b, c)
     generators: tuple
     degrees: dict  # name -> (H-degree, E-coefficient)
-    rees: dict  # name -> Rees multiplicity (t carries -1)
     relations: tuple
     sections: dict  # name -> SparsePoly over ("x","y","z"); "t" excluded
     saturated_by: Optional[str] = None  # variable t when the ideal is I : t^oo
     toric: bool = False
     notes: tuple = ()
+
+    @property
+    def rees(self):
+        """name -> Rees multiplicity, minus the E-coefficient (t carries -1)."""
+        return {g: -e for g, (_, e) in self.degrees.items()}
 
 
 @dataclass
@@ -150,7 +156,6 @@ def kstar_presentation(w):
             "T4": (b * c, -1),
             "T5": (0, 1),
         },
-        rees={"T1": 0, "T2": 0, "T3": 1, "T4": 1, "T5": -1},
         relations=(relation,),
         sections=sections,
         toric=1 in (a, b, c),
@@ -238,7 +243,6 @@ def mult2_presentation(w):
             "s4": (b * c, -2),
             "t": (0, 1),
         },
-        rees={"x": 0, "y": 0, "z": 0, "s1": 1, "s2": 1, "s3": 1, "s4": 2, "t": -1},
         relations=relations,
         sections=sections,
         saturated_by="t",
@@ -348,9 +352,10 @@ def _lattice_ideal_by_count(w, f1, f2, f3):
 def verify_presentation(w, pres):
     """Run the mechanical checks on a constructed presentation.
 
-    Checks: (1) Z^2-homogeneity of every relation; (2) section Rees
-    multiplicities match the degree matrix; (3) relations vanish identically
-    under section substitution with t = 1; and for the Mult2 variant
+    Checks: (1) Z^2-homogeneity of every relation; (2) each section's Rees
+    multiplicity is minus its E-coefficient in the degree matrix, and t has
+    degree (0, 1); (3) relations vanish identically under section
+    substitution with t = 1; and for the Mult2 variant
     (4) the saturation identity <f1,f2> : (xyz)^oo = <f1,f2,f3> = lattice
     ideal of the point; (5) f4 lies in (I^2 : J^oo) but not in I^2.
     In (4), when f1 and f2 are binomials of a Z-basis of the point's
@@ -389,19 +394,16 @@ def verify_presentation(w, pres):
     for g in pres.generators:
         d, e = pres.degrees[g]
         if g not in pres.sections:
-            if (d, e) != (0, 1) or pres.rees[g] != -1:
+            if (d, e) != (0, 1):
                 bad.append(f"{g}: exceptional parameter must have degree (0,1)")
-            continue
-        if pres.rees[g] != -e:
-            bad.append(f"{g}: Rees multiplicity {pres.rees[g]} != {-e}")
             continue
         sec = pres.sections[g]
         if sec.weighted_degree(wt.as_tuple()) != d:
             bad.append(f"{g}: section degree mismatch")
             continue
         actual = multiplicities[g] = mult.rees_multiplicity(wt, sec)
-        if actual != pres.rees[g]:
-            bad.append(f"{g}: section multiplicity {actual} != {pres.rees[g]}")
+        if actual != -e:
+            bad.append(f"{g}: section multiplicity {actual} != {-e}")
     checks.append(
         CheckResult(
             "rees_multiplicities",
@@ -489,7 +491,7 @@ def presentation_text(pres):
     lines.append("generators:")
     for g in pres.generators:
         d, e = pres.degrees[g]
-        lines.append(f"  {g}  degree ({d}, {e})  rees {pres.rees[g]}")
+        lines.append(f"  {g}  degree ({d}, {e})  rees {-e}")
     lines.append("relations:")
     for rel in pres.relations:
         lines.append(f"  {rel}")

@@ -316,15 +316,11 @@ def normal_form(f, gb):
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
     if f.variables != gb.variables:
         raise ValueError("polynomial outside the basis ring")
-    w = _first_width([f], gb.weights)
-    while True:
-        pk, basis = gb._packed(w)
-        den, g = _integer_terms(f, pk)
-        try:
-            rem, scale = _reduce(g, basis, pk)
-            break
-        except _Widen:
-            w = 2 * pk.w
+    # the order is graded, so no popped term exceeds the degree of f, which
+    # `_first_width` puts below the limit: one packing, one reduction
+    pk, basis = gb._packed(_first_width([f], gb.weights))
+    den, g = _integer_terms(f, pk)
+    rem, scale = _reduce(g, basis, pk)
     den *= scale
     decode = pk.decode
     return SparsePoly._trusted(f.variables, {decode(e): poly._ratio(c, den) for e, c in rem.items()})

@@ -158,19 +158,17 @@ def identity(n):
 
 
 def smith_normal_form(a):
-    """Smith normal form with transforms: returns (d, u, v) with u*a*v = d.
+    """Smith normal form u*a*v = d, u and v unimodular: returns (invariants, v).
 
-    u and v are unimodular; d is diagonal with d[i][i] dividing d[i+1][i+1].
+    The invariants are the min(nrows, ncols) diagonal entries of d, each
+    non-negative and dividing the next, so the nonzero ones come first.  u
+    is not kept: a*v = u^-1 * d, so the columns of a*v past the rank are
+    zero and column j before it is d[j][j] times a primitive vector.
     """
     d = [list(r) for r in a]
     nrows = len(d)
     ncols = len(d[0]) if d else 0
-    u = identity(nrows)
     v = identity(ncols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in d:
@@ -181,17 +179,12 @@ def smith_normal_form(a):
     def add_row(src, dst, k):
         # row dst += k * row src
         d[dst] = [x + k * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + k * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, k):
         for row in d:
             row[dst] += k * row[src]
         for row in v:
             row[dst] += k * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(nrows, ncols):
@@ -203,10 +196,10 @@ def smith_normal_form(a):
                     best = (i, j)
         if best is None:
             break
-        swap_rows(t, best[0])
+        d[t], d[best[0]] = d[best[0]], d[t]
         swap_cols(t, best[1])
         if d[t][t] < 0:
-            negate_row(t)
+            d[t] = [-x for x in d[t]]
         dirty = False
         for i in range(t + 1, nrows):
             if d[i][t] != 0:
@@ -235,4 +228,4 @@ def smith_normal_form(a):
             add_row(offender, t, 1)
             continue
         t += 1
-    return d, u, v
+    return [d[i][i] for i in range(min(nrows, ncols))], v

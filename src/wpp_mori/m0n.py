@@ -77,12 +77,6 @@ def parse_reduction(text):
     return LatticeReduction(kernel, vs[0], vs[1], vs[2], weights)
 
 
-def _smith(rows):
-    """(diagonal, V) of the Smith normal form U*rows*V = D: the invariant factors, then zeros."""
-    d, _, v = linalg.smith_normal_form([list(row) for row in rows])
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))], v
-
-
 def _quotient_map(generators, ambient):
     """Columns-of-V chart for N/N': returns (projector rows, rank) or None.
 
@@ -91,7 +85,7 @@ def _quotient_map(generators, ambient):
     factors are 1 (N' saturated).  No generators span N' = 0, saturated of
     rank 0, and the chart is the identity.
     """
-    diagonal, v = _smith(generators) if generators else ([], linalg.identity(ambient))
+    diagonal, v = linalg.smith_normal_form(generators) if generators else ([], linalg.identity(ambient))
     factors = [x for x in diagonal if x]
     rank = len(factors)
     if any(x != 1 for x in factors):
@@ -122,7 +116,7 @@ def verify_reduction(r):
         return False, diags
     diags.append(f"sublattice saturated of rank {rank}")
     images = [_project(cols, v) for v in (r.v1, r.v2, r.v3)]
-    invariants, _ = _smith(images)
+    invariants, _ = linalg.smith_normal_form(images)
     if sorted(x for x in invariants if x) != [1, 1]:
         diags.append(f"images do not generate the quotient: invariants {invariants}")
         return False, diags
@@ -160,7 +154,7 @@ def unimodular_equivalent(m1, m2):
     """
     if len(m1) != 2 or len(m2) != 2 or len(m1[0]) != len(m2[0]):
         return False
-    factors = [[x for x in _smith(m)[0] if x] for m in (m1, m2, [*m1, *m2])]
+    factors = [[x for x in linalg.smith_normal_form(m)[0] if x] for m in (m1, m2, [*m1, *m2])]
     return all(len(f) == 2 for f in factors) and len({prod(f) for f in factors}) == 1
 
 

@@ -54,8 +54,8 @@ def _short_directions(a, b, c):
 
 @lru_cache(maxsize=None)
 def _chart(a, b, c):
-    d, u, v = linalg.smith_normal_form([[a, b, c]])
-    if d[0][0] != 1:
+    (g,), v = linalg.smith_normal_form([[a, b, c]])
+    if g != 1:
         raise ValueError("weights are not coprime")
     # columns c1, c2 of the unimodular v form a basis of the weight-zero
     # sublattice; the coordinate map onto that basis is rows 1, 2 of v^{-1},

@@ -12,7 +12,7 @@ variable order.
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, mul, neg
 
 
 def grevlex_key(exp):
@@ -217,7 +217,7 @@ class SparsePoly:
 
         `weights` is one integer per variable (e.g. (a, b, c) for K[x,y,z]).
         """
-        degs = {sum(w * e for w, e in zip(weights, exp)) for exp in self.terms}
+        degs = {sum(map(mul, weights, exp)) for exp in self.terms}
         if len(degs) != 1:
             return None
         return degs.pop()
@@ -226,18 +226,12 @@ class SparsePoly:
         """Common vector degree of all terms under per-variable vector degrees.
 
         `degree_map` maps variable name to a tuple; returns the common tuple
-        degree or None if the polynomial is not homogeneous for it.
+        degree or None if the polynomial is not homogeneous for it.  The
+        terms share a vector degree iff they share each coordinate of it.
         """
-        vecs = [degree_map[v] for v in self.variables]
-        dim = len(vecs[0]) if vecs else 0
-        degs = set()
-        for exp in self.terms:
-            degs.add(
-                tuple(sum(v[i] * e for v, e in zip(vecs, exp)) for i in range(dim))
-            )
-        if len(degs) != 1:
-            return None
-        return degs.pop()
+        columns = zip(*(degree_map[v] for v in self.variables))
+        degs = tuple(self.weighted_degree(col) for col in columns)
+        return None if None in degs else degs
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of rationals."""

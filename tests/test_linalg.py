@@ -198,31 +198,29 @@ def test_smith_normal_form_properties():
     for _ in range(40):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         a = random_matrix(rng, nrows, ncols)
-        d, u, v = linalg.smith_normal_form(a)
-        assert _mul(_mul(u, a), v) == d
-        assert abs(_det(u)) == 1
+        invariants, v = linalg.smith_normal_form(a)
+        assert len(invariants) == min(nrows, ncols)
         assert abs(_det(v)) == 1
-        diag = [d[i][i] for i in range(min(nrows, ncols))]
-        for i in range(nrows):
-            for j in range(ncols):
-                if i != j:
-                    assert d[i][j] == 0
-        for i in range(len(diag) - 1):
-            if diag[i + 1] != 0:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        assert all(x >= 0 for x in diag)
+        for i in range(len(invariants) - 1):
+            if invariants[i + 1] != 0:
+                assert invariants[i] != 0 and invariants[i + 1] % invariants[i] == 0
+        assert all(x >= 0 for x in invariants)
+        # what the callers read off a*v: m0n's quotient chart needs its
+        # columns past the rank to be zero, mult's lattice basis needs the
+        # leading ones to carry the invariants (a primitive vector each)
+        rank = sum(1 for x in invariants if x)
+        assert rank == linalg.rank(a)
+        columns = list(zip(*_mul(a, v)))
+        assert all(not any(col) for col in columns[rank:])
+        assert [gcd(*col) for col in columns[:rank]] == invariants[:rank]
 
 
 def test_smith_invariants_match_sympy():
     rng = random.Random(99)
     for _ in range(25):
         a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        d, _, _ = linalg.smith_normal_form(a)
-        mine = sorted(
-            d[i][i]
-            for i in range(min(len(d), len(d[0]) if d else 0))
-            if d[i][i] != 0
-        )
+        invariants, _ = linalg.smith_normal_form(a)
+        mine = sorted(x for x in invariants if x != 0)
         theirs = sorted(
             abs(int(x)) for x in sympy_snf(sympy.Matrix(a)).diagonal() if x != 0
         )

@@ -101,6 +101,12 @@ def test_weighted_and_multi_degree():
     dm = {"x": (7, 0), "y": (3, 0), "z": (11, 0)}
     assert f.multi_degree(dm) == (14, 0)
     assert P("x + y").multi_degree(dm) is None
+    # homogeneous in the H-coordinate only
+    assert f.multi_degree({"x": (7, 0), "y": (3, -1), "z": (11, 0)}) is None
+    assert SparsePoly.constant(XYZ, 5).multi_degree(dm) == (0, 0)
+    zero = SparsePoly.zero(XYZ)
+    assert zero.weighted_degree((7, 3, 11)) is None
+    assert zero.multi_degree(dm) is None
 
 
 def test_evaluate():
