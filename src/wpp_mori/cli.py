@@ -34,6 +34,13 @@ def _check_mu_cap(args):
         raise InputError("--mu-cap must be at least 1")
 
 
+def _read_input(path):
+    try:
+        return Path(path).read_text()
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e}") from e
+
+
 def _print_json(data):
     print(json.dumps(data, sort_keys=True))
 
@@ -291,10 +298,7 @@ def cmd_scan(args):
 def cmd_verify_gens(args):
     if args.budget < 0 or args.step_budget < 0:
         raise InputError("--budget and --step-budget must be non-negative")
-    try:
-        text = Path(args.file).read_text()
-    except OSError as e:
-        raise InputError(f"cannot read {args.file}: {e}") from e
+    text = _read_input(args.file)
     try:
         instance = verifygens.parse_instance(text)
     except ValueError as e:
@@ -309,10 +313,7 @@ def cmd_verify_gens(args):
 
 
 def cmd_m0n(args):
-    try:
-        text = Path(args.file).read_text()
-    except OSError as e:
-        raise InputError(f"cannot read {args.file}: {e}") from e
+    text = _read_input(args.file)
     try:
         reduction = m0n.parse_reduction(text)
         ok, diags = m0n.verify_reduction(reduction)

@@ -14,9 +14,8 @@ from . import groebner, linalg, mult
 from .poly import SparsePoly
 from .weights import WeightTriple, monoid_member
 
-
-class ParityError(ValueError):
-    """An exponent of the form (c-n)/2 or (b-m)/2 failed to be an integer."""
+# the coordinates x, y, z of K[x,y,z], the ring of every section
+_COORDS = tuple(SparsePoly.variable(mult.XYZ, v) for v in mult.XYZ)
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class CoxPresentation:
     generators: tuple
     degrees: dict  # name -> (H-degree, E-coefficient)
     relations: tuple
-    sections: dict  # name -> SparsePoly over ("x","y","z"); "t" excluded
+    sections: dict  # name -> SparsePoly over mult.XYZ; "t" excluded
     saturated_by: Optional[str] = None  # variable t when the ideal is I : t^oo
     toric: bool = False
     notes: tuple = ()
@@ -117,12 +116,6 @@ def classify(w):
     return TripleClass("Other")
 
 
-def _half(value, what):
-    if value < 0 or value % 2:
-        raise ParityError(f"{what} = {value} is not an even non-negative integer")
-    return value // 2
-
-
 def kstar_presentation(w):
     """Five-generator presentation with the single relation T4*T5 - T1^c + T2^b."""
     cls = classify(w)
@@ -135,10 +128,7 @@ def kstar_presentation(w):
     t1c = SparsePoly.monomial(R, (c, 0, 0, 0, 0))
     t2b = SparsePoly.monomial(R, (0, b, 0, 0, 0))
     relation = t4t5 - t1c + t2b
-    S = ("x", "y", "z")
-    x = SparsePoly.variable(S, "x")
-    y = SparsePoly.variable(S, "y")
-    z = SparsePoly.variable(S, "z")
+    x, y, z = _COORDS
     sections = {
         "T1": y,
         "T2": z,
@@ -163,17 +153,19 @@ def kstar_presentation(w):
 
 
 def _mult2_halves(cls):
-    """(c-n)/2, (b-m)/2, (c+n)/2, (b+m)/2, (c-3n)/2, (b-3m)/2 of a Mult2 class."""
+    """(c-n)/2, (b-m)/2, (c+n)/2, (b+m)/2, (c-3n)/2, (b-3m)/2 of a Mult2 class.
+
+    Each is a non-negative integer.  b >= 3m and c >= 3n are conditions of
+    `classify`.  For the parities, c = n and b = m (mod 2): were n and m
+    both even, a = (n/2)*b + (m/2)*c would lie in <b, c>, the KStar case,
+    which `classify` tests first.  So one of n, m is odd, and nb + mc = 2a
+    is even.  If both are odd, b + c is even, so b and c, being coprime,
+    are both odd.  If only n is odd, b is even and c, coprime to b, is odd;
+    if only m is odd, c is even and b is odd.
+    """
     a, b, c = cls.reordering
     n, m = cls.n, cls.m
-    return (
-        _half(c - n, "c - n"),
-        _half(b - m, "b - m"),
-        _half(c + n, "c + n"),
-        _half(b + m, "b + m"),
-        _half(c - 3 * n, "c - 3n"),
-        _half(b - 3 * m, "b - 3m"),
-    )
+    return tuple(v // 2 for v in (c - n, b - m, c + n, b + m, c - 3 * n, b - 3 * m))
 
 
 def mult2_fs(cls):
@@ -182,10 +174,7 @@ def mult2_fs(cls):
         raise ValueError("not in the Mult2 regime")
     cn2, bm2, cp2, bp2, c3n2, b3m2 = _mult2_halves(cls)
     n, m = cls.n, cls.m
-    S = ("x", "y", "z")
-    x = SparsePoly.variable(S, "x")
-    y = SparsePoly.variable(S, "y")
-    z = SparsePoly.variable(S, "z")
+    x, y, z = _COORDS
     f1 = x ** 2 - y ** n * z ** m
     f2 = x * z ** bm2 - y ** cp2
     f3 = x * y ** cn2 - z ** bp2
@@ -201,7 +190,7 @@ def mult2_presentation(w):
     a, b, c = cls.reordering
     n, m = cls.n, cls.m
     cn2, bm2, _, _, c3n2, b3m2 = _mult2_halves(cls)
-    R = ("x", "y", "z", "s1", "s2", "s3", "s4", "t")
+    R = mult.XYZ + ("s1", "s2", "s3", "s4", "t")
 
     def mono(x=0, y=0, z=0, s1=0, s2=0, s3=0, s4=0, t=0, coeff=1):
         return SparsePoly.monomial(R, (x, y, z, s1, s2, s3, s4, t), coeff)
@@ -219,16 +208,7 @@ def mult2_presentation(w):
         # the y-exponent n is forced by Z^2-homogeneity and the f-identity
         mono(s2=2) + mono(z=b3m2, s1=1, s3=1) - mono(y=n, s4=1),
     )
-    S = ("x", "y", "z")
-    sections = {
-        "x": SparsePoly.variable(S, "x"),
-        "y": SparsePoly.variable(S, "y"),
-        "z": SparsePoly.variable(S, "z"),
-        "s1": f1,
-        "s2": f2,
-        "s3": f3,
-        "s4": f4,
-    }
+    sections = dict(zip(mult.XYZ, _COORDS), s1=f1, s2=f2, s3=f3, s4=f4)
     return CoxPresentation(
         variant="Mult2",
         weights=(a, b, c),
@@ -252,20 +232,19 @@ def mult2_presentation(w):
 
 def chart_binomials(w):
     """Binomial generators of the ideal of [1,1,1] from the torus chart lattice."""
-    S = ("x", "y", "z")
     out = []
     for vec in mult.chart_kernel_basis(w):
         plus = tuple(max(e, 0) for e in vec)
         minus = tuple(max(-e, 0) for e in vec)
         out.append(
-            SparsePoly.monomial(S, plus) - SparsePoly.monomial(S, minus)
+            SparsePoly.monomial(mult.XYZ, plus) - SparsePoly.monomial(mult.XYZ, minus)
         )
     return out
 
 
 def _unit_binomial(f):
     """The exponents (p, q) when f = +-(x^p - x^q) in K[x,y,z], else None."""
-    if f.variables != ("x", "y", "z") or len(f.terms) != 2:
+    if f.variables != mult.XYZ or len(f.terms) != 2:
         return None
     (p, cp), (q, cq) = f.terms.items()
     if cp + cq != 0 or abs(cp) != 1:
@@ -337,10 +316,7 @@ def _lattice_ideal_by_count(w, f1, f2, f3):
     free = []
     for f in (f1, f2, f3):
         exps = _unit_binomial(f)
-        if exps is None:
-            return False
-        p, q = exps
-        if sum(u * e for u, e in zip(weights, p)) != sum(u * e for u, e in zip(weights, q)):
+        if exps is None or f.weighted_degree(weights) is None:
             return False
         x_free = [e[1:] for e in exps if e[0] == 0]
         if len(x_free) != 1:
@@ -375,10 +351,9 @@ def verify_presentation(w, pres):
     checks = []
     wt = WeightTriple(*pres.weights)
 
-    degree_map = {g: pres.degrees[g] for g in pres.generators}
     bad = []
     for i, rel in enumerate(pres.relations):
-        if rel.multi_degree(degree_map) is None:
+        if rel.multi_degree(pres.degrees) is None:
             bad.append(i)
     checks.append(
         CheckResult(
@@ -412,9 +387,8 @@ def verify_presentation(w, pres):
         )
     )
 
-    S = ("x", "y", "z")
     assignment = {
-        g: pres.sections[g] if g in pres.sections else SparsePoly.constant(S, 1)
+        g: pres.sections[g] if g in pres.sections else SparsePoly.constant(mult.XYZ, 1)
         for g in pres.generators
     }
     bad = []
@@ -437,9 +411,9 @@ def verify_presentation(w, pres):
             # <f1,f2> : (xyz)^oo = I_L = <f1,f2,f3>, both by theorem
             ok = ok2 = True
         else:
-            xyz = SparsePoly.monomial(S, (1, 1, 1))
-            sat12 = groebner.saturate(groebner.Ideal(S, [f1, f2]), xyz)
-            gb123 = groebner.buchberger(groebner.Ideal(S, [f1, f2, f3]))
+            xyz = SparsePoly.monomial(mult.XYZ, (1, 1, 1))
+            sat12 = groebner.saturate(groebner.Ideal(mult.XYZ, [f1, f2]), xyz)
+            gb123 = groebner.buchberger(groebner.Ideal(mult.XYZ, [f1, f2, f3]))
             # a saturation's generators are its reduced basis, so comparing
             # them with gb123's elements decides ideal equality
             ok = sat12.generators == gb123.elements
@@ -447,7 +421,7 @@ def verify_presentation(w, pres):
                 # then sat12 is the point lattice ideal itself
                 ok2 = ok
             else:
-                lattice = groebner.saturate(groebner.Ideal(S, chart_binomials(wt)), xyz)
+                lattice = groebner.saturate(groebner.Ideal(mult.XYZ, chart_binomials(wt)), xyz)
                 ok2 = lattice.generators == gb123.elements
         checks.append(
             CheckResult(

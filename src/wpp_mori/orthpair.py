@@ -54,10 +54,8 @@ def minimal_mu(d, abc):
     """Least mu >= 1 with d^2 <= mu^2 * abc, in pure integer arithmetic."""
     if d < 1:
         raise ValueError("degree must be positive")
-    mu = max(1, isqrt(d * d // abc))
-    while mu * mu * abc < d * d:
-        mu += 1
-    return mu
+    # mu^2 >= d^2/abc iff mu^2 >= ceil(d^2/abc), which is at least 1
+    return ceil_sqrt(-(-d * d // abc))
 
 
 def _in_semigroup(w, s):

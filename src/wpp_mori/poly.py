@@ -233,20 +233,6 @@ class SparsePoly:
         degs = tuple(self.weighted_degree(col) for col in columns)
         return None if None in degs else degs
 
-    def evaluate(self, point):
-        """Exact evaluation at a tuple of rationals."""
-        if len(point) != len(self.variables):
-            raise ValueError("point length must match variable count")
-        point = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            val = c
-            for p, e in zip(point, exp):
-                if e:
-                    val *= p ** e
-            total += val
-        return total
-
     # -- ring changes -----------------------------------------------------
 
     def rename_ring(self, variables):

@@ -108,37 +108,37 @@ def parse_instance(text):
     return BlowupInput(weights, variables, gens, product)
 
 
-def rees_multiplicities(instance):
-    """Exact Rees multiplicity of each ideal generator at the blown-up point."""
-    return [mult.rees_multiplicity(instance.weights, g) for g in instance.ideal_gens]
+def rees_algebra(instance):
+    """The Rees algebra R_1[s_1..s_k, t] of an instance, set up for the generator test.
 
-
-def _rees_ring(instance, k):
-    s_names = tuple(f"s{i + 1}" for i in range(k))
-    return instance.variables + s_names + ("t",), s_names
-
-
-def initial_basis(instance, mults):
-    """B_0 = {t^{m_i} s_i - f_i} in the extended ring, plus that ring and names."""
-    k = len(instance.ideal_gens)
-    ring, s_names = _rees_ring(instance, k)
-    basis = []
-    nvars = len(instance.variables)
-    for i, (f, m) in enumerate(zip(instance.ideal_gens, mults)):
-        exp = [0] * len(ring)
-        exp[nvars + i] = 1
-        exp[-1] = m
-        basis.append(SparsePoly.monomial(ring, exp) - f.rename_ring(ring))
-    return ring, s_names, basis
-
-
-def _degree_map(instance, mults, s_names):
+    Returns (multiplicities, ring, basis, degree_map, weights):
+    - the exact Rees multiplicity m_i of each ideal generator f_i at the
+      blown-up point;
+    - the ring x, y, z, s_1..s_k, t;
+    - B_0 = {t^{m_i} s_i - f_i};
+    - the Z^2-degree of each variable: (a, 0), (b, 0), (c, 0) on x, y, z,
+      (deg f_i, -m_i) on s_i and (0, 1) on t, under which B_0 is homogeneous;
+    - the order weights omega = alpha*d + e of each variable's degree (d, e),
+      with alpha >= 1 the least that makes every weight with d > 0 positive.
+      An s_i of degree (0, 0), from a constant generator c, takes weight 1:
+      every element of a reduced basis but s_i - c is free of it.
+    """
+    gens = instance.ideal_gens
     weights = instance.weights.as_tuple()
-    dm = {v: (wv, 0) for v, wv in zip(instance.variables, weights)}
-    for name, f, m in zip(s_names, instance.ideal_gens, mults):
-        dm[name] = (f.weighted_degree(weights), -m)
-    dm["t"] = (0, 1)
-    return dm
+    mults = [mult.rees_multiplicity(instance.weights, f) for f in gens]
+    s_names = tuple(f"s{i + 1}" for i in range(len(gens)))
+    ring = instance.variables + s_names + ("t",)
+    degrees = [(w, 0) for w in weights]
+    degrees += [(f.weighted_degree(weights), -m) for f, m in zip(gens, mults)]
+    degrees.append((0, 1))
+    t = SparsePoly.variable(ring, "t")
+    basis = [
+        SparsePoly.variable(ring, s) * t ** m - f.rename_ring(ring)
+        for s, f, m in zip(s_names, gens, mults)
+    ]
+    alpha = max([1] + [-e // d + 1 for d, e in degrees if d > 0])
+    omega = tuple(max(1, alpha * d + e) for d, e in degrees)
+    return mults, ring, basis, dict(zip(ring, degrees)), omega
 
 
 def discover_saturation_element(gb, degree_map):
@@ -151,6 +151,12 @@ def discover_saturation_element(gb, degree_map):
     on the leading term breaking ties, whatever order `gb` is under: the
     choice decides the certificate.  An element of `gb` itself reduces to
     0, so it takes no normal form.
+
+    Every candidate has a Z^2-degree when `gb` is Z^2-homogeneous, as the
+    bases `verify` builds from `rees_algebra` are: `BlowupInput` admits only
+    weighted-homogeneous generators, so B_0, t and f are Z^2-homogeneous,
+    and so is every reduced basis element and normal form modulo such a
+    basis.
     """
     candidates = []
     for g in gb.quotient_by_last().elements_not_in(gb):
@@ -159,13 +165,7 @@ def discover_saturation_element(gb, degree_map):
             candidates.append(r.primitive())
     if not candidates:
         return None
-
-    def sort_key(p):
-        deg = p.multi_degree(degree_map)
-        head = deg if deg is not None else (10 ** 9, 10 ** 9)
-        return (head, grevlex_key(p.leading()[0]))
-
-    return min(candidates, key=sort_key)
+    return min(candidates, key=lambda p: (p.multi_degree(degree_map), grevlex_key(p.leading()[0])))
 
 
 def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
@@ -185,27 +185,20 @@ def verify(instance, discovery_budget=25, step_budget=groebner.DEFAULT_BUDGET):
     `step_budget` bounds the S-pair reductions of each Groebner computation;
     an extended basis counts only the pairs its new generators add.
 
-    Every ideal here is Z^2-homogeneous under `_degree_map`, so all the
-    Groebner work runs under weighted grevlex with the weight alpha*d + e of
-    each variable's degree (d, e): (alpha*a, alpha*b, alpha*c,
-    alpha*d_i - m_i, 1) on x, y, z, s_i, t, with alpha >= 1 the least that
-    makes every weight with d > 0 positive.  The weight is linear in the
-    degree, so the generators are homogeneous: Buchberger's pair order works
-    degree by degree (the sugar strategy of Giovini-Mora-Niesi-Robbiano-
-    Traverso, ISSAC 1991, is exact here), and <B> : t can be read off the
-    basis of <B>, t being the last variable.
+    Every ideal here is Z^2-homogeneous under the degree map of
+    `rees_algebra`, so all the Groebner work runs under weighted grevlex
+    with its weights omega, (alpha*a, alpha*b, alpha*c, alpha*d_i - m_i, 1)
+    on x, y, z, s_i, t.  The weight is linear in the degree, so the
+    generators are homogeneous: Buchberger's pair order works degree by
+    degree (the sugar strategy of Giovini-Mora-Niesi-Robbiano-Traverso,
+    ISSAC 1991, is exact here), and <B> : t can be read off the basis of
+    <B>, t being the last variable.
     """
-    mults = rees_multiplicities(instance)
+    mults, ring, basis, degree_map, weights = rees_algebra(instance)
     warnings = []
     for f, m in zip(instance.ideal_gens, mults):
         if m == 0:
             warnings.append(f"generator {f} does not vanish at the point")
-    ring, s_names, basis = initial_basis(instance, mults)
-    degree_map = _degree_map(instance, mults, s_names)
-    alpha = max([1] + [-e // d + 1 for d, e in degree_map.values() if d > 0])
-    # an s_i of degree (0, 0), from a constant generator c, takes weight 1:
-    # every element of a reduced basis but s_i - c is free of it
-    weights = tuple(max(1, alpha * d + e) for d, e in map(degree_map.get, ring))
     t_poly = SparsePoly.variable(ring, "t")
     f_poly = instance.product.rename_ring(ring)
     dim_r1 = len(instance.variables)

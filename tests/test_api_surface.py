@@ -29,7 +29,6 @@ ALLOWED_UNCALLED = {
     "coxring.VerificationReport.failures": "diagnostics of failed reports in the tests",
     "orthpair.MdsVerdict.is_mori_dream": "acceptance criteria 1-3 (verdict tables)",
     "poly.SparsePoly.monic": "the sympy oracle of the Groebner tests (monic bases)",
-    "poly.SparsePoly.evaluate": "the tests' check that sections vanish at [1,1,1]",
 }
 
 ALLOWED_UNSET = {

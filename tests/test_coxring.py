@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from wpp_mori import cli, coxring, groebner, mult
 from wpp_mori.coxring import (
-    ParityError,
     chart_binomials,
     classify,
     kstar_presentation,
@@ -20,7 +19,7 @@ from wpp_mori.coxring import (
     verify_presentation,
 )
 from wpp_mori.poly import SparsePoly, parse_poly
-from wpp_mori.weights import WeightTriple, monomials_of_degree
+from wpp_mori.weights import WeightTriple, coprime_triples, monomials_of_degree
 
 XYZ = ("x", "y", "z")
 
@@ -153,13 +152,21 @@ def test_chart_binomials_define_the_point():
         gens = chart_binomials(w)
         assert len(gens) == 2
         for g in gens:
-            assert g.evaluate((1, 1, 1)) == 0
+            # vanishing at [1,1,1]: substitute the constant 1 for x, y and z
+            assert g.substitute(dict.fromkeys(XYZ, SparsePoly.constant(XYZ, 1))).is_zero()
             assert g.weighted_degree((a, b, c)) is not None
 
 
-def test_parity_error():
-    with pytest.raises(ParityError):
-        coxring._half(3, "test value")
+def test_mult2_halves_are_nonnegative_integers():
+    # _mult2_halves halves c - n, b - m, c - 3n and b - 3m (and c + n, b + m)
+    # with no check, by the parity argument in its docstring
+    classes = [classify(WeightTriple(*t)) for t in coprime_triples(40)]
+    mult2 = [cls for cls in classes if cls.is_mult2]
+    assert len(mult2) == 432
+    for cls in mult2:
+        _, b, c = cls.reordering
+        assert (c - cls.n) % 2 == 0 and (b - cls.m) % 2 == 0, cls
+        assert c >= 3 * cls.n and b >= 3 * cls.m, cls
 
 
 def test_presentation_text():

@@ -604,7 +604,7 @@ def _rees_basis(triple):
     """Ring and B0 of the Mult2 generator guess x, y, z, f1..f4 for a triple."""
     cls = coxring.classify(WeightTriple(*triple))
     inst = BlowupInput(WeightTriple(*cls.reordering), XYZ, list(coxring.mult2_fs(cls)), P("x*y*z"))
-    ring, _, basis = verifygens.initial_basis(inst, verifygens.rees_multiplicities(inst))
+    _, ring, basis, _, _ = verifygens.rees_algebra(inst)
     return ring, basis
 
 

@@ -109,12 +109,6 @@ def test_weighted_and_multi_degree():
     assert zero.multi_degree(dm) is None
 
 
-def test_evaluate():
-    f = P("x^2*y - 3*z")
-    assert f.evaluate((2, 3, 1)) == 9
-    assert f.evaluate((Fraction(1, 2), 4, 0)) == 1
-
-
 def test_substitute():
     S = ("u", "v")
     f = P("x*y - z")

@@ -14,9 +14,8 @@ from wpp_mori.verifygens import (
     DiscoveryBudgetExceeded,
     certificate_text,
     discover_saturation_element,
-    initial_basis,
     parse_instance,
-    rees_multiplicities,
+    rees_algebra,
     verify,
 )
 from wpp_mori.weights import WeightTriple, coprime_triples
@@ -99,31 +98,47 @@ def test_repeated_section_is_rejected(repeat):
 def test_unreserved_names_are_accepted():
     # with two ideal lines the Rees ring adds s1, s2 and t, so s3 is free
     inst = parse_instance("weights: 1 1 1\nvars: u s3 w\nideal: u - s3\nideal: u - w\nproduct: u")
-    assert initial_basis(inst, rees_multiplicities(inst))[0] == ("u", "s3", "w", "s1", "s2", "t")
+    assert rees_algebra(inst)[1] == ("u", "s3", "w", "s1", "s2", "t")
 
 
 def test_rees_multiplicities_fixture():
     inst = parse_instance(fixture_text())
-    assert rees_multiplicities(inst) == [1, 1, 1, 2]
+    assert rees_algebra(inst)[0] == [1, 1, 1, 2]
 
 
 def test_nonvanishing_generator_flagged():
     inst = parse_instance("weights: 1 1 1\nideal: x\nideal: x - y\nproduct: z")
-    assert rees_multiplicities(inst) == [0, 1]
+    assert rees_algebra(inst)[0] == [0, 1]
     cert = verify(inst)
     assert cert.warnings
 
 
 def test_initial_basis_shape():
     inst = parse_instance(fixture_text())
-    mults = rees_multiplicities(inst)
-    ring, s_names, basis = initial_basis(inst, mults)
+    _, ring, basis, _, _ = rees_algebra(inst)
     assert ring == ("x", "y", "z", "s1", "s2", "s3", "s4", "t")
-    assert s_names == ("s1", "s2", "s3", "s4")
     assert basis[0] == parse_poly("s1*t - x^2 + y*z", ring)
     assert basis[3] == parse_poly(
         "s4*t^2 - x^3*y^4 - y^11 + 3*x*y^5*z - z^3", ring
     )
+
+
+def test_rees_algebra_order_weights():
+    # each s_i has degree (2, -2), so alpha = 1 would give it weight 0 and
+    # alpha = 2 is the least that makes it positive
+    squares = parse_instance(
+        "weights: 1 1 1\nideal: x^2 - 2*x*z + z^2\nideal: x*y - x*z - y*z + z^2\n"
+        "ideal: y^2 - 2*y*z + z^2\nproduct: x*y*z"
+    )
+    mults, ring, _, degree_map, omega = rees_algebra(squares)
+    assert mults == [2, 2, 2]
+    assert [degree_map[v] for v in ring] == [(1, 0)] * 3 + [(2, -2)] * 3 + [(0, 1)]
+    assert omega == (2, 2, 2, 2, 2, 2, 1)
+    # a constant generator's s_i has degree (0, 0) and takes weight 1
+    constant = parse_instance("weights: 1 1 1\nideal: x - z\nideal: 1\nproduct: x*y*z")
+    _, _, _, degree_map, omega = rees_algebra(constant)
+    assert degree_map["s2"] == (0, 0)
+    assert omega == (2, 2, 2, 1, 1, 1)
 
 
 def test_discover_trivial_cases():
@@ -191,21 +206,17 @@ def test_certificate_text():
 def _from_scratch_certificate(instance, discovery_budget=25):
     """The discovery loop with every basis, quotient and dimension computed
     afresh in each round: the oracle of the loop that carries them."""
-    mults = rees_multiplicities(instance)
+    mults, ring, basis, degree_map, _ = rees_algebra(instance)
     warnings = [
         f"generator {f} does not vanish at the point"
         for f, m in zip(instance.ideal_gens, mults)
         if m == 0
     ]
-    ring, s_names, basis = initial_basis(instance, mults)
-    degree_map = verifygens._degree_map(instance, mults, s_names)
     t = SparsePoly.variable(ring, "t")
     f = instance.product.rename_ring(ring)
 
     def sort_key(p):
-        deg = p.multi_degree(degree_map)
-        head = deg if deg is not None else (10 ** 9, 10 ** 9)
-        return (head, grevlex_key(p.leading()[0]))
+        return (p.multi_degree(degree_map), grevlex_key(p.leading()[0]))
 
     trace = []
     for _ in range(discovery_budget + 1):
@@ -336,7 +347,7 @@ def test_mult2_guess_certificates(triple):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == GREVLEX_CERTIFICATES[triple]
         return
     # each discovered element lies in <B_0> : t^oo, read off its reduced grevlex basis
-    ring, _, b0 = initial_basis(instance, cert.multiplicities)
+    _, ring, b0, _, _ = rees_algebra(instance)
     sat = groebner.saturate(Ideal(ring, b0), SparsePoly.variable(ring, "t"))
     gb = groebner.buchberger(sat)
     assert cert.trace and all(normal_form(g, gb).is_zero() for g in cert.trace)
